@@ -26,7 +26,7 @@ config = RunConfig(
     output_path=str(OUT / "repair_rate.csv"),
 )
 diag = run_sweep(config)
-print(f"wrote {diag['rows']} rows per series in {diag['cpuSeconds']:.2f}s")
+print(f"wrote {diag['rows']} rows per series in {diag['wallSeconds']:.2f}s")
 
 for name in ("repair_rate_cycles.csv", "repair_rate_batches.csv"):
     with open(OUT / name, newline="") as fh:

@@ -50,7 +50,6 @@ from .pareto import (
     pareto_front,
     scalar_subproblem,
     weight_grid,
-    weights_from_point,
 )
 from .cli import RunConfig, SweepRange
 
@@ -98,7 +97,6 @@ __all__ = [
     "ParetoFront",
     "FrontDiagnostics",
     "InfeasibleModelError",
-    "weights_from_point",
     "weight_grid",
     "dominance_filter",
     "decision_box",

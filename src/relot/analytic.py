@@ -1,11 +1,16 @@
 """Closed-form solvers for the reverse-logistics cost model.
 
-``solve_unconstrained`` evaluates the stationary batch sizes of f1.
-``solve_constrained`` enumerates the four KKT configurations of the two
-floor-space constraints (none / supply / repair / both active), keeps every
-configuration whose multipliers are positive and whose point is feasible,
-and returns the cheapest one.  Multipliers below MULTIPLIER_TOL are treated
-as zero.
+The average cost is separable, f1 = alpha/Qp + beta*Qp + gamma/Qr + delta*Qr
+(see ``CostModel``), so every quantity here is exact: the gradient of f1 is
+(beta - alpha/Qp^2, delta - gamma/Qr^2), its curvature is
+(2*alpha/Qp^3, 2*gamma/Qr^3), and no finite differences are taken.
+
+``solve_unconstrained`` returns Qp* = sqrt(alpha/beta), Qr* = sqrt(gamma/delta).
+``solve_constrained`` enumerates the four KKT configurations of the supply
+floor p1*Qp <= k1 and the repair floor a*Qp + b*Qr <= k2 (none / supply /
+repair / both active), keeps every configuration whose multipliers are
+positive and whose point is feasible, and returns the cheapest one.
+Multipliers below MULTIPLIER_TOL are treated as zero.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BatchDecision, CostModel, DomainError, ModelParams, derive_constants
+from .model import BatchDecision, CostModel, ModelParams
 
 __all__ = [
     "SolverError",
@@ -27,7 +32,7 @@ __all__ = [
 ]
 
 MULTIPLIER_TOL = 1e-12
-_FD_STEP = 1e-5
+_MAX_MULTIPLIER = 1e12  # no case-III point is accepted beyond this repair multiplier
 _FEAS_TOL = 1e-7  # relative slack tolerance when accepting a KKT candidate
 _CASE_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
 
@@ -59,68 +64,26 @@ class KktSolution:
     kkt_residual: float
 
 
-# -- stationarity formulas ----------------------------------------------------
+# -- exact derivatives -----------------------------------------------------------
 
 
-def _stationary_qp(params: ModelParams, C3: float, lambda1: float, lambda2: float) -> float:
-    """Qp from the procurement stationarity condition (supply multiplier
-    lambda1, repair multiplier lambda2)."""
-    pr = params.p * params.r
-    denom = (
-        params.h1
-        + 2.0 * lambda1 * params.Dp * C3 * params.p1
-        + params.h2 * pr
-        + 2.0 * lambda2 * params.Dp * C3 * params.p * params.p2 * params.r
-    )
-    return math.sqrt(2.0 * params.Ap * params.Dp / denom)
+def _gradient(cm: CostModel, qp: float, qr: float) -> tuple[float, float]:
+    """Exact gradient of f1 at (qp, qr)."""
+    return cm.beta - cm.alpha / (qp * qp), cm.delta - cm.gamma / (qr * qr)
 
 
-def _stationary_qr(params: ModelParams, C1: float, C2: float, C3: float, lambda2: float) -> float:
-    """Qr from the repair stationarity condition."""
-    pr = params.p * params.r
-    inner = (
-        C1 * C2 * params.h1
-        + 4.0 * params.h2 * pr
-        + 2.0 * lambda2 * params.Dp * C3 * params.p * params.p2 * params.r
-        + C1 * C2 * params.Dp * params.h2 * pr / params.Dr
-    )
-    denom = (
-        C1 * C2 * params.Dr * (params.h1 + params.h2)
-        + 2.0 * params.Dr * params.h2 * pr
-        + params.lam * C1 * inner
-    )
-    return math.sqrt(2.0 * params.lam * C2 * params.Ar * params.Dr / denom)
-
-
-def _theorem_decision(params: ModelParams) -> BatchDecision:
-    dc = derive_constants(params)
-    return BatchDecision(
-        Qp=_stationary_qp(params, dc.C3, 0.0, 0.0),
-        Qr=_stationary_qr(params, dc.C1, dc.C2, dc.C3, 0.0),
-    )
-
-
-# -- finite-difference machinery ----------------------------------------------
-
-
-def _fd_first_second(f, x: float, other: float, first_coord: bool) -> tuple[float, float]:
-    """Central first and second difference of f along one coordinate."""
-    h = _FD_STEP * max(1.0, abs(x))
-    if first_coord:
-        fp, fm, f0 = f(x + h, other), f(x - h, other), f(x, other)
-    else:
-        fp, fm, f0 = f(other, x + h), f(other, x - h), f(other, x)
-    return (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
+def _repair_row(params: ModelParams, cm: CostModel) -> tuple[float, float]:
+    """Coefficients (a, b) of the repair floor a*Qp + b*Qr <= k2."""
+    a = params.p2 * params.r * params.p
+    return a, a * params.Dp * cm.C1 / params.Dr
 
 
 def gradient_norm(params: ModelParams, d: BatchDecision) -> float:
-    """Relative magnitude of the finite-difference gradient of f1 at d,
-    measured as the norm of (df1/dQi * Qi / f1)."""
+    """Relative magnitude of the exact gradient of f1 at d, measured as the
+    norm of (df1/dQi * Qi / f1)."""
     cm = CostModel(params)
-    f = cm.average_cost
-    gp, _ = _fd_first_second(f, d.Qp, d.Qr, True)
-    gr, _ = _fd_first_second(f, d.Qr, d.Qp, False)
-    f1 = f(d.Qp, d.Qr)
+    gp, gr = _gradient(cm, d.Qp, d.Qr)
+    f1 = cm.average_cost(d.Qp, d.Qr)
     return math.hypot(gp * d.Qp / f1, gr * d.Qr / f1)
 
 
@@ -132,24 +95,20 @@ def kkt_residual(
 ) -> float:
     """Stationarity defect of the floor-space Lagrangian at d.
 
-    The objective gradient is taken by central finite differences, the
-    constraint gradients analytically.  Each Lagrangian component is scaled
-    by the local curvature times the coordinate (the length of the
-    coordinate-wise Newton step relative to the coordinate), which makes the
-    residual dimension-free.
+    Each Lagrangian component is divided by the exact curvature of f1 along
+    its coordinate times the coordinate (2*alpha/Qp^2, 2*gamma/Qr^2), that
+    is, it is the length of the coordinate-wise Newton step relative to the
+    coordinate, which makes the residual dimension-free.
     """
     cm = CostModel(params)
-    f = cm.average_cost
-    gp, hpp = _fd_first_second(f, d.Qp, d.Qr, True)
-    gr, hrr = _fd_first_second(f, d.Qr, d.Qp, False)
-    rp = params.r * params.p
-    lp = gp + lambda1 * params.p1 + lambda2 * params.p2 * rp
-    lr = gr + lambda2 * params.p2 * params.return_inflow * cm.C1 / params.Dr
-    scale_p = abs(hpp) * d.Qp
-    scale_r = abs(hrr) * d.Qr
-    res_p = abs(lp) / scale_p if scale_p > 0.0 else math.inf
-    res_r = abs(lr) / scale_r if scale_r > 0.0 else math.inf
-    return max(res_p, res_r)
+    gp, gr = _gradient(cm, d.Qp, d.Qr)
+    a, b = _repair_row(params, cm)
+    lp = gp + lambda1 * params.p1 + lambda2 * a
+    lr = gr + lambda2 * b
+    return max(
+        abs(lp) * d.Qp * d.Qp / (2.0 * cm.alpha),
+        abs(lr) * d.Qr * d.Qr / (2.0 * cm.gamma),
+    )
 
 
 # -- solvers -------------------------------------------------------------------
@@ -157,8 +116,8 @@ def kkt_residual(
 
 def solve_unconstrained(params: ModelParams) -> UnconstrainedSolution:
     """Optimal batch sizes ignoring the floor constraints."""
-    d = _theorem_decision(params)
     cm = CostModel(params)
+    d = BatchDecision(Qp=math.sqrt(cm.alpha / cm.beta), Qr=math.sqrt(cm.gamma / cm.delta))
     gnorm = gradient_norm(params, d)
     if not (gnorm < 1e-4):
         raise SolverError(
@@ -167,39 +126,32 @@ def solve_unconstrained(params: ModelParams) -> UnconstrainedSolution:
     return UnconstrainedSolution(decision=d, f1=cm.average_cost(d.Qp, d.Qr), grad_norm=gnorm)
 
 
-def _floor_qr(params: ModelParams, C1: float, qp: float) -> float:
-    """Qr putting the repair floor exactly at capacity for a given Qp."""
-    inflow = params.return_inflow
-    rp = params.r * params.p
-    return params.Dr * (params.k2 - rp * qp * params.p2) / (inflow * C1 * params.p2)
+def _case3_multiplier(cm: CostModel, a: float, b: float, k2: float) -> float | None:
+    """Repair multiplier l2 that puts the repair floor exactly at capacity.
 
-
-def _case3_multiplier(params: ModelParams, dc) -> float | None:
-    """Repair multiplier solving the coupled stationarity/active-floor system.
-
-    gap(l2) = floor-Qr(Qp(l2)) - stationary-Qr(l2) is strictly increasing,
-    so a sign change brackets the unique root; bisection to 1e-10 relative.
+    At multiplier l2 the stationary batches are Qp(l2) = sqrt(alpha/(beta + l2*a))
+    and Qr(l2) = sqrt(gamma/(delta + l2*b)), so the floor usage
+    a*Qp(l2) + b*Qr(l2) is convex and strictly decreasing from its value at
+    the unconstrained optimum toward 0.  Newton's method from l2 = 0 climbs
+    monotonically to the unique root of usage = k2 without overshooting.
+    None when the floor does not bind or the root exceeds _MAX_MULTIPLIER.
     """
-
-    def gap(l2: float) -> float:
-        qp = _stationary_qp(params, dc.C3, 0.0, l2)
-        return _floor_qr(params, dc.C1, qp) - _stationary_qr(params, dc.C1, dc.C2, dc.C3, l2)
-
-    if gap(0.0) >= 0.0:
-        return None  # repair floor not binding at the stationary point
-    hi = 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
+    l2 = 0.0
+    for _ in range(200):
+        qp = math.sqrt(cm.alpha / (cm.beta + l2 * a))
+        qr = math.sqrt(cm.gamma / (cm.delta + l2 * b))
+        excess = a * qp + b * qr - k2
+        if excess <= 0.0:
+            break
+        # -d(usage)/d(l2), from dQp/dl2 = -a*Qp^3/(2*alpha) and likewise for Qr
+        slope = a * a * qp**3 / (2.0 * cm.alpha) + b * b * qr**3 / (2.0 * cm.gamma)
+        step = excess / slope
+        l2 += step
+        if l2 > _MAX_MULTIPLIER:
             return None
-    lo = 0.0
-    while hi - lo > 1e-10 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        if step <= 1e-15 * l2:
+            break
+    return l2 if l2 > 0.0 else None
 
 
 def _cond_2x2_upper(a: float, b: float, c: float) -> float:
@@ -222,9 +174,8 @@ def solve_constrained(params: ModelParams) -> KktSolution:
     floors.  With both floors infinite this reduces exactly to the
     unconstrained solution (Case I).
     """
-    dc = derive_constants(params)
     cm = CostModel(params)
-    rp = params.r * params.p
+    a, b = _repair_row(params, cm)
 
     def feasible(qp: float, qr: float) -> bool:
         ok1 = cm.supply_slack(qp) >= -_FEAS_TOL * max(1.0, abs(params.k1))
@@ -252,44 +203,37 @@ def solve_constrained(params: ModelParams) -> KktSolution:
         )
 
     # Case I: neither floor active.
-    qp0 = _stationary_qp(params, dc.C3, 0.0, 0.0)
-    qr0 = _stationary_qr(params, dc.C1, dc.C2, dc.C3, 0.0)
+    qp0 = math.sqrt(cm.alpha / cm.beta)
+    qr0 = math.sqrt(cm.gamma / cm.delta)
     if feasible(qp0, qr0):
         add("I", qp0, qr0, 0.0, 0.0)
 
-    # Case II: supply floor active.
+    # Case II: supply floor active; Qr keeps its stationary value.
     if math.isfinite(params.k1):
         qp = params.k1 / params.p1
-        num = 2.0 * params.Ap * params.Dp - qp * qp * (params.h1 + params.h2 * rp)
-        l1 = num / (2.0 * qp * qp * params.Dp * dc.C3 * params.p1)
-        qr = _stationary_qr(params, dc.C1, dc.C2, dc.C3, 0.0)
-        if l1 > MULTIPLIER_TOL and feasible(qp, qr):
-            add("II", qp, qr, l1, 0.0)
+        l1 = (cm.alpha / (qp * qp) - cm.beta) / params.p1
+        if l1 > MULTIPLIER_TOL and feasible(qp, qr0):
+            add("II", qp, qr0, l1, 0.0)
 
     # Case III: repair floor active.
     if math.isfinite(params.k2):
-        l2 = _case3_multiplier(params, dc)
+        l2 = _case3_multiplier(cm, a, b, params.k2)
         if l2 is not None and l2 > MULTIPLIER_TOL:
-            qp = _stationary_qp(params, dc.C3, 0.0, l2)
-            qr = _floor_qr(params, dc.C1, qp)
-            if qr > 0.0 and feasible(qp, qr):
+            qp = math.sqrt(cm.alpha / (cm.beta + l2 * a))
+            qr = cm.repair_cap(qp)
+            if feasible(qp, qr):
                 add("III", qp, qr, 0.0, l2)
 
-    # Case IV: both floors active.
+    # Case IV: both floors active; the multipliers solve a triangular system.
     if math.isfinite(params.k1) and math.isfinite(params.k2):
         qp = params.k1 / params.p1
-        qr = _floor_qr(params, dc.C1, qp)
-        if qr > 0.0:
-            gp, _ = _fd_first_second(cm.average_cost, qp, qr, True)
-            gr, _ = _fd_first_second(cm.average_cost, qr, qp, False)
-            a = params.p1
-            b = params.p2 * rp
-            c = params.p2 * params.return_inflow * dc.C1 / params.Dr
-            if _cond_2x2_upper(a, b, c) <= 1e12:
-                l2 = -gr / c
-                l1 = -(gp + l2 * b) / a
-                if l1 > MULTIPLIER_TOL and l2 > MULTIPLIER_TOL and feasible(qp, qr):
-                    add("IV", qp, qr, l1, l2)
+        qr = cm.repair_cap(qp)
+        if qr > 0.0 and _cond_2x2_upper(params.p1, a, b) <= 1e12:
+            gp, gr = _gradient(cm, qp, qr)
+            l2 = -gr / b
+            l1 = -(gp + l2 * a) / params.p1
+            if l1 > MULTIPLIER_TOL and l2 > MULTIPLIER_TOL and feasible(qp, qr):
+                add("IV", qp, qr, l1, l2)
 
     if not candidates:
         raise NoKktPointError(

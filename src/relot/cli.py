@@ -9,8 +9,9 @@ RunConfig; tables go to --out or stdout, machine-readable diagnostics
 
 Exit codes: 0 success, 2 configuration/domain errors, 3 infeasible model.
 Table numbers are CSV-formatted with 6 significant digits; the json
-format keeps full precision.  The cpuSeconds column varies run to run and
-is meant to be dropped before golden-file comparison.
+format keeps full precision.  The cpuSeconds column (process CPU time)
+varies run to run and is meant to be dropped before golden-file
+comparison.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .analytic import solve_constrained, solve_unconstrained
 from .gridsearch import default_grid, grid_min
-from .model import CostModel, ModelParams, ParameterError
+from .model import CostModel, ModelParams, ParameterError, _number
 from .pareto import pareto_front
 
 __all__ = ["SweepRange", "RunConfig", "run", "run_solve", "run_sweep", "run_pareto", "main"]
@@ -39,6 +40,7 @@ SOLVE_COLUMNS = ("rpDp", "lambda", "Dr", "Qp*", "Qr*", "f1", "n", "T", "cpuSecon
 CONSTRAINED_EXTRA = ("case", "lambda1", "lambda2", "slackSupply", "slackRepair")
 PARETO_COLUMNS = ("w1", "w2", "w3", "Qp", "Qr", "f1", "f2", "f3", "rank")
 ORACLE_COLUMNS = ("Qp", "Qr", "f1", "cpuSeconds")
+MAX_SWEEP_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,17 @@ class SweepRange:
     step: float
 
     def __post_init__(self) -> None:
+        for name in ("lo", "hi", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"sweep {name} must be finite, got {getattr(self, name)!r}")
         if not (self.lo < self.hi):
             raise ParameterError(f"sweep range needs lo < hi, got {self.lo!r} >= {self.hi!r}")
         if not (self.step > 0.0):
             raise ParameterError(f"sweep step must be positive, got {self.step!r}")
+        # values() yields floor(steps) + 1 rows; an overflow to inf fails here too
+        steps = (self.hi - self.lo) / self.step + 1e-9
+        if not steps < MAX_SWEEP_ROWS:
+            raise ParameterError(f"sweep range holds more than {MAX_SWEEP_ROWS} rows")
 
     def values(self) -> list[float]:
         count = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
@@ -98,10 +107,14 @@ class RunConfig:
             kwargs["sweep_var"] = data.pop("sweepVar")
         if "sweepRange" in data:
             rng = data.pop("sweepRange")
+            if not isinstance(rng, dict):
+                raise ParameterError(f"sweepRange must be an object, got {rng!r}")
             keys = set(rng)
             if keys != {"lo", "hi", "step"}:
                 raise ParameterError(f"sweepRange needs exactly lo/hi/step, got {sorted(keys)}")
-            kwargs["sweep_range"] = SweepRange(float(rng["lo"]), float(rng["hi"]), float(rng["step"]))
+            kwargs["sweep_range"] = SweepRange(
+                *(_number(f"sweepRange.{k}", rng[k]) for k in ("lo", "hi", "step"))
+            )
         if "gridSubdivisions" in data:
             m = data.pop("gridSubdivisions")
             if not isinstance(m, int) or isinstance(m, bool):
@@ -193,14 +206,14 @@ def _solve_rows(config: RunConfig, constrained: bool):
     rows = []
     n_floor = []
     for params in _sweep_params(config):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         if constrained:
             sol = solve_constrained(params)
             dec, f1 = sol.decision, sol.f1
         else:
             unc = solve_unconstrained(params)
             dec, f1 = unc.decision, unc.f1
-        elapsed = time.perf_counter() - t0
+        elapsed = time.process_time() - t0
         cm = CostModel(params)
         n = cm.cycle_count(dec.Qp, dec.Qr)
         row = [
@@ -268,9 +281,7 @@ def _run_sweep(config: RunConfig) -> dict:
 def _run_pareto(config: RunConfig) -> dict:
     if config.grid_subdivisions is None or config.grid_subdivisions < 3:
         raise ParameterError("the pareto command needs gridSubdivisions >= 3")
-    t0 = time.perf_counter()
     front = pareto_front(config.params, config.grid_subdivisions)
-    elapsed = time.perf_counter() - t0
     rows = [
         [
             p.weight.w1,
@@ -297,16 +308,15 @@ def _run_pareto(config: RunConfig) -> dict:
         "recorded": d.recorded,
         "deduplicated": d.deduplicated,
         "frontSize": d.front_size,
-        "wallSeconds": elapsed,
     }
 
 
 def _run_oracle(config: RunConfig) -> dict:
     params = config.params
     constrained = math.isfinite(params.k1) or math.isfinite(params.k2)
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     dec, value = grid_min(params, default_grid(params), constrained=constrained)
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     rows = [[dec.Qp, dec.Qr, value, elapsed]]
     _emit(_render(ORACLE_COLUMNS, rows, config.output_format), config.output_path)
     return {"rows": 1, "constrained": constrained}
@@ -316,7 +326,7 @@ def run(config: RunConfig) -> dict:
     """Execute a configured command; returns the diagnostics mapping."""
     if config.command is None:
         raise ParameterError("no command selected")
-    t0 = time.perf_counter()
+    wall0, cpu0 = time.perf_counter(), time.process_time()
     if config.command == "solve":
         diag = _run_solve(config, constrained=False)
     elif config.command == "solve-constrained":
@@ -329,7 +339,8 @@ def run(config: RunConfig) -> dict:
         diag = _run_oracle(config)
     diag["command"] = config.command
     diag["config"] = config.to_mapping()
-    diag["cpuSeconds"] = time.perf_counter() - t0
+    diag["cpuSeconds"] = time.process_time() - cpu0
+    diag["wallSeconds"] = time.perf_counter() - wall0
     return diag
 
 

@@ -9,9 +9,10 @@ procured in batches of size ``Qp``.  One period of length ``T`` consists of
 
 The module provides the parameter/decision containers, the derived cycle
 constants C1..C3, the holding-area decomposition behind the average cost
-rate f1, the emissions (f2) and energy (f3) objectives, and floor-space
-feasibility checks.  All evaluators are pure functions of their inputs;
-``CostModel`` only precomputes constants for speed.
+rate f1 and the four EOQ coefficients it reduces to, the emissions (f2)
+and energy (f3) objectives, and floor-space feasibility checks.  All
+evaluators are pure functions of their inputs; ``CostModel`` only
+precomputes constants for speed.
 """
 
 from __future__ import annotations
@@ -62,8 +63,16 @@ class DomainError(ValueError):
 
 
 def _positive(name: str, value: float) -> None:
-    if not (value > 0.0) or math.isnan(value):
-        raise ParameterError(f"{name} must be positive, got {value!r}")
+    if not (0.0 < value < math.inf):
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _number(name: str, value) -> float:
+    """A JSON number as a float; anything else (null, strings, lists,
+    booleans) is a ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,8 @@ class ModelParams:
     ap, bp, cp  emissions coefficients (f2); all three or none
     Wp, Wr      energy per unit produced / repaired; all four energy
     Kp, Kr      fixed energy rates          keys or none
+
+    Every value is finite except k1 and k2, which may be +inf.
     """
 
     Dp: float
@@ -136,8 +147,8 @@ class ModelParams:
                 raise ParameterError(f"incomplete coefficient group: missing {missing}")
             for k in given:
                 v = getattr(self, k)
-                if v < 0.0 or math.isnan(v):
-                    raise ParameterError(f"{k} must be >= 0, got {v!r}")
+                if not (0.0 <= v < math.inf):
+                    raise ParameterError(f"{k} must be finite and >= 0, got {v!r}")
 
     @property
     def return_inflow(self) -> float:
@@ -158,13 +169,15 @@ class ModelParams:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ModelParams":
+        if not isinstance(mapping, dict):
+            raise ParameterError(f"params must be an object, got {mapping!r}")
         known = {f.name for f in fields(cls)}
         kwargs = {}
         for key, value in mapping.items():
             name = _JSON_ALIASES.get(key, key)
             if name not in known:
                 raise ParameterError(f"unknown parameter key {key!r}")
-            kwargs[name] = float(value)
+            kwargs[name] = _number(key, value)
         try:
             return cls(**kwargs)
         except TypeError as exc:  # missing required keys
@@ -297,12 +310,37 @@ class CostModel:
     Precomputes the derived constants once; the value methods are plain
     arithmetic and accept either floats or numpy arrays.  Methods that
     perform domain checks (``ghg``, ``energy``) are scalar-only.
+
+    The average cost is two independent EOQ terms,
+
+        f1(Qp, Qr) = alpha/Qp + beta*Qp + gamma/Qr + delta*Qr,
+
+    with every coefficient positive.  Proof, from the area decomposition
+    of ``breakdown``: write I = r*p*Dp, t = C1/Dr (so T1 = t*Qr),
+    c = 1/lam + t, n = C2*Qp/Qr and T = C3*Qp.  The repair-depot area
+    A2 = B + C' + D' + E1 + E2 carries four Qr^2 terms that cancel in pairs:
+
+    * B = I/2*(t*Qr + Qp/Dp)^2 holds +I/2*t^2*Qr^2, and
+      D' = I/2*(n - 1)*t^2*Qr^2 holds -I/2*t^2*Qr^2;
+    * E1 = c*Qr*(I*t*Qr + r*p*Qp - C1*Qr) holds c*(I*t - C1)*Qr^2, and
+      E2 = c*C1*(1 - I/Dr)*Qr^2 is exactly c*(C1 - I*t)*Qr^2.
+
+    What remains is A2 = I/(2*Dp^2)*Qp^2 + X*Qp*Qr with
+    X = r*p*t + C1*C2/(2*lam) + I*C2*t^2/2 + r*p*c, next to
+    A1 = Qp^2/(2*Dp) + (C1*C2*c/2)*Qp*Qr.  Dividing the cycle cost
+    Ap + n*Ar + h1*A1 + h2*A2 by T = C3*Qp gives
+
+        alpha = Ap/C3                      beta  = (h1 + h2*r*p)/(2*Dp*C3)
+        gamma = Ar*C2/C3                   delta = (h1*C1*C2*c/2 + h2*X)/C3
+
+    so the unconstrained optimum is Qp* = sqrt(alpha/beta),
+    Qr* = sqrt(gamma/delta) and f1* = 2*sqrt(alpha*beta) + 2*sqrt(gamma*delta).
     """
 
     __slots__ = (
-        "params", "constants", "C1", "C2", "C3", "_inflow", "_rp",
-        "_inv2Dp", "_invDp", "_cross", "_c_lam", "_c_rep", "_c_e2",
-        "_c_T1", "_c_m",
+        "params", "constants", "C1", "C2", "C3", "alpha", "beta", "gamma",
+        "delta", "_inflow", "_rp", "_inv2Dp", "_invDp", "_cross", "_c_lam",
+        "_c_rep", "_c_e2", "_c_T1", "_c_m",
     )
 
     def __init__(self, params: ModelParams):
@@ -320,6 +358,16 @@ class CostModel:
         self._c_lam = self.C1 * self.C2 / (2.0 * params.lam)
         self._c_e2 = self._c_rep * self.C1 * (1.0 - self._inflow / params.Dr)
         self._c_m = 2.0 * params.Ap * params.Dp / params.h1
+        cross_repair = (  # X of the class docstring
+            self._rp * self._c_T1
+            + self._c_lam
+            + 0.5 * self._inflow * self.C2 * self._c_T1 * self._c_T1
+            + self._rp * self._c_rep
+        )
+        self.alpha = params.Ap / self.C3
+        self.beta = (params.h1 + params.h2 * self._rp) * self._inv2Dp / self.C3
+        self.gamma = params.Ar * self.C2 / self.C3
+        self.delta = (params.h1 * self._cross + params.h2 * cross_repair) / self.C3
 
     # -- cycle geometry -------------------------------------------------
 
@@ -335,19 +383,7 @@ class CostModel:
 
     def average_cost(self, qp, qr):
         """Average cost rate f1(Qp, Qr): setups plus holding per unit time."""
-        pr = self.params
-        n = self.C2 * qp / qr
-        T = self.C3 * qp
-        A1 = qp * qp * self._inv2Dp + self._cross * qp * qr
-        T2 = self._c_T1 * qr + qp * self._invDp
-        B = 0.5 * self._inflow * T2 * T2
-        Cp = self._c_lam * qp * qr
-        t1 = self._c_T1 * qr
-        Dq = 0.5 * self._inflow * (n - 1.0) * t1 * t1
-        E1 = qr * self._c_rep * (self._inflow * t1 + self._rp * qp - self.C1 * qr)
-        E2 = qr * qr * self._c_e2
-        A2 = B + Cp + Dq + E1 + E2
-        return (pr.Ap + n * pr.Ar + pr.h1 * A1 + pr.h2 * A2) / T
+        return self.alpha / qp + self.beta * qp + self.gamma / qr + self.delta * qr
 
     def breakdown(self, qp: float, qr: float) -> CostBreakdown:
         """Full cycle geometry and area decomposition at scalar (qp, qr)."""
@@ -432,6 +468,12 @@ class CostModel:
 
     def repair_slack(self, qp, qr):
         return self.params.k2 - self.repair_load(qp, qr)
+
+    def repair_cap(self, qp):
+        """Largest Qr the repair floor allows at Qp (+inf without a repair
+        floor; not positive when no repair batch fits)."""
+        pr = self.params
+        return (pr.k2 / (pr.p2 * self._inflow) - qp * self._invDp) / self._c_T1
 
 
 # -- module-level operations ------------------------------------------------

@@ -17,12 +17,11 @@ When any objective is non-positive at the individual minima, all three
 objectives are shifted by s_i = max(0, -min f_i) + 1 inside the
 scalarization; reported objective values are never shifted.
 
-f2 and f3 turn out to depend on the decision only through Qp (the n*Qr
-term in f3 equals C2*Qp), so their subproblems have flat directions in
-Qr.  Outputs are therefore polished along Qr toward lower f1, and the
-polish is kept only when it verifiably leaves the other two objectives
-unchanged, which selects the best member of a degenerate optimal set
-without assuming the flatness.
+f2 and f3 depend on the decision only through Qp (the n*Qr term in f3
+equals C2*Qp), so their subproblems are flat along Qr.  Their outputs
+take the f1-best repair batch min(Qr*, repair_cap(Qp)) at their Qp, the
+best member of that degenerate optimal set; f2 and f3 stay unchanged by
+construction.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ __all__ = [
     "ParetoPoint",
     "FrontDiagnostics",
     "ParetoFront",
-    "weights_from_point",
     "weight_grid",
     "dominance_filter",
     "decision_box",
@@ -159,20 +157,6 @@ def _as_triple(obj) -> tuple[float, float, float]:
     return t
 
 
-def weights_from_point(objectives) -> WeightVector:
-    """Inverse-proportional weights: w_i = (1/f_i) / sum_j (1/f_j).
-
-    Requires every objective value to be strictly positive; at the returned
-    weights, w_i*f_i is the same for all i.
-    """
-    f = _as_triple(objectives)
-    if any(v <= 0.0 for v in f):
-        raise DomainError(f"inverse weighting needs positive objectives, got {f}")
-    inv = [1.0 / v for v in f]
-    total = inv[0] + inv[1] + inv[2]
-    return WeightVector(inv[0] / total, inv[1] / total, inv[2] / total)
-
-
 def weight_grid(m: int) -> list[WeightVector]:
     """Interior lattice of the 2-simplex with spacing 1/m.
 
@@ -247,11 +231,7 @@ def decision_box(
 
     qr_hi = 3.0 * star.Qr
     if math.isfinite(params.k2):
-        cap = (
-            params.Dr
-            * (params.k2 - params.r * params.p * qp_lo * params.p2)
-            / (params.return_inflow * cm.C1 * params.p2)
-        )
+        cap = cm.repair_cap(qp_lo)
         if cap <= 0.0:
             raise InfeasibleModelError(
                 f"repair floor {params.k2!r} admits no positive repair batch"
@@ -390,49 +370,6 @@ def _coincident(a: BatchDecision, b: BatchDecision, rtol: float) -> bool:
     ) <= rtol * max(abs(a.Qr), abs(b.Qr))
 
 
-def _qr_polish(
-    funcs,
-    floors,
-    dec: BatchDecision,
-    lower,
-    upper,
-    values: tuple[float, float, float],
-) -> BatchDecision:
-    """Reduce f1 along Qr at fixed Qp within a degenerate optimal set.
-
-    Accepted only when f2 and f3 at the candidate agree with the original
-    values to 1e-9 relative (so the move provably stays optimal for any
-    subproblem whose objective is f2 or f3 and whose constraints are floors
-    plus upper limits on the objectives) and every floor still holds.
-    """
-    qp = dec.Qp
-    f1 = funcs[0]
-
-    def ok(qr: float) -> bool:
-        return all(c(qp, qr) <= 0.0 for c in floors)
-
-    best_qr = dec.Qr
-    best_v = f1(qp, best_qr)
-    width = upper[1] - lower[1]
-    step = 0.25 * width
-    while step > 1e-9 * width:
-        moved = False
-        for cand in (best_qr - step, best_qr + step):
-            if lower[1] <= cand <= upper[1] and ok(cand):
-                v = f1(qp, cand)
-                if v < best_v:
-                    best_v, best_qr, moved = v, cand, True
-        if not moved:
-            step *= 0.5
-    if best_qr == dec.Qr:
-        return dec
-    if abs(funcs[1](qp, best_qr) - values[1]) > 1e-9 * max(1.0, abs(values[1])):
-        return dec
-    if abs(funcs[2](qp, best_qr) - values[2]) > 1e-9 * max(1.0, abs(values[2])):
-        return dec
-    return BatchDecision(Qp=qp, Qr=best_qr)
-
-
 def pareto_front(
     params: ModelParams,
     m: int,
@@ -484,6 +421,12 @@ def pareto_front(
 
     # Individual minima of each objective over the admissible region.
     star = solve_unconstrained(params).decision
+
+    def cheapest_repair(dec: BatchDecision) -> BatchDecision:
+        """The f1-best repair batch at dec.Qp: f1 is convex in Qr with its
+        minimum at Qr*, and f2, f3 do not depend on Qr."""
+        return BatchDecision(Qp=dec.Qp, Qr=min(star.Qr, cm.repair_cap(dec.Qp)))
+
     base_seed = (
         min(max(star.Qp, lower[0]), upper[0]),
         min(max(star.Qr, lower[1]), upper[1]),
@@ -503,7 +446,7 @@ def pareto_front(
             )
         dec = res.decision
         if idx > 0:
-            dec = _qr_polish(funcs, floors, dec, lower, upper, triple(dec))
+            dec = cheapest_repair(dec)
         minima.append(dec)
         floor_values.append(res.value)
 
@@ -591,7 +534,7 @@ def pareto_front(
             else:
                 fallbacks += 1
             if k != 1:
-                result = _qr_polish(funcs, floors, result, lower, upper, triple(result))
+                result = cheapest_repair(result)
             finals[k] = result
 
         if len(finals) == 3 and all(

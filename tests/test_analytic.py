@@ -16,7 +16,7 @@ from relot import (
     solve_unconstrained,
 )
 
-from conftest import UNCON_BASE, floor_params, unconstrained_params
+from conftest import LAMBDAS, UNCON_BASE, floor_params, unconstrained_params
 
 # Full-precision regression pins for the five repair-rate settings.
 UNCON_ROWS = {
@@ -111,14 +111,22 @@ class TestConstrained:
         assert sol.f1 == pytest.approx(74.64261725068086, rel=1e-12)
 
     def test_case_iv_both_floors(self):
+        """Multipliers pinned to a 50-digit differentiation of f1 at (4, Qr)."""
         p = ModelParams(lam=45.0, p1=0.5, k1=2.0, p2=0.5, k2=4.5, **UNCON_BASE)
         sol = solve_constrained(p)
         assert sol.case == "IV"
         assert sol.decision.Qp == pytest.approx(4.0, rel=1e-12)
         assert sol.decision.Qr == pytest.approx(112.41428571428574, rel=1e-12)
-        assert sol.lambda1 == pytest.approx(0.44502139163974513, rel=1e-9)
-        assert sol.lambda2 == pytest.approx(0.4793425766574902, rel=1e-9)
+        assert sol.lambda1 == pytest.approx(0.44502139231634768, rel=1e-9)
+        assert sol.lambda2 == pytest.approx(0.47934257543201624, rel=1e-9)
         assert sol.kkt_residual < 1e-8
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    def test_tiny_repair_floor_has_no_kkt_point(self, lam):
+        """k2=1e-6 would need a repair multiplier far above 1e12."""
+        p = ModelParams(lam=lam, p2=1.0, k2=1e-6, **UNCON_BASE)
+        with pytest.raises(NoKktPointError):
+            solve_constrained(p)
 
     def test_constrained_never_beats_unconstrained(self):
         for lam in sorted(CON_ROWS):
@@ -143,7 +151,7 @@ class TestKktResidual:
             assert kkt_residual(p, sol.decision, sol.lambda1, sol.lambda2) < 1e-8
 
     def test_small_at_unconstrained_star(self):
-        """Bounded by finite-difference noise, a few orders above machine eps."""
+        """The exact gradient vanishes there up to round-off."""
         p = unconstrained_params(45.0)
         star = solve_unconstrained(p).decision
         assert kkt_residual(p, star) < 1e-7

@@ -1,11 +1,12 @@
 """End-to-end command-line runs: configs, tables, sweeps, exit codes."""
 
 import json
+import math
 
 import pytest
 
 from relot import ModelParams, ParameterError, RunConfig, SweepRange
-from relot.cli import main, run
+from relot.cli import MAX_SWEEP_ROWS, main, run
 
 from conftest import SUSTAIN, UNCON_BASE
 
@@ -58,12 +59,22 @@ class TestRunConfig:
     def test_sweep_range_values(self):
         assert SweepRange(45.0, 105.0, 15.0).values() == [45.0, 60.0, 75.0, 90.0, 105.0]
         assert SweepRange(45.0, 46.0, 2.0).values() == [45.0]
+        assert len(SweepRange(0.0, 99_999.0, 1.0).values()) == MAX_SWEEP_ROWS
 
     def test_sweep_range_validation(self):
         with pytest.raises(ParameterError):
             SweepRange(10.0, 5.0, 1.0)
         with pytest.raises(ParameterError):
             SweepRange(5.0, 10.0, 0.0)
+        # non-finite bounds, and more rows than the cap (checked before any
+        # list is built: the second range alone would hold about 1e12 rows)
+        for lo, hi, step in (
+            (-math.inf, 60.0, 1.0), (45.0, math.inf, 1.0), (45.0, 60.0, math.inf),
+            (math.nan, 60.0, 1.0), (0.0, 100_000.0, 1.0), (44.1, 1e9, 1e-3),
+            (-1e308, 1e308, 1.0),
+        ):
+            with pytest.raises(ParameterError):
+                SweepRange(lo, hi, step)
 
 
 class TestSolveCommand:
@@ -100,6 +111,7 @@ class TestSolveCommand:
         assert diag["rows"] == 1
         assert diag["nFloor"] == [72]
         assert diag["cpuSeconds"] > 0.0
+        assert diag["wallSeconds"] > 0.0
         echo = RunConfig.from_mapping(diag["config"])
         assert echo.params.lam == 45.0
 
@@ -123,6 +135,27 @@ class TestSolveCommand:
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["solve-constrained", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"params": []},
+        {"params": None},
+        {"params": [EX1_PARAMS]},
+        {"params": {**EX1_PARAMS, "Dp": None}},
+        {"params": {**EX1_PARAMS, "Ap": "10"}},
+        {"params": {**EX1_PARAMS, "h1": True}},
+        {"params": {**EX1_PARAMS, "Ap": math.inf}},
+        {"sweepVar": "lambda", "sweepRange": 5},
+        {"sweepVar": "lambda", "sweepRange": [45.0, 60.0, 1.0]},
+        {"sweepVar": "lambda", "sweepRange": {"lo": None, "hi": 60.0, "step": 1.0}},
+        {"sweepVar": "lambda", "sweepRange": {"lo": -math.inf, "hi": 60.0, "step": 1.0}},
+        {"sweepVar": "lambda", "sweepRange": {"lo": 44.1, "hi": 1e9, "step": 1e-3}},
+    ])
+    def test_malformed_config_exits_2_with_one_json_line(self, tmp_path, capsys, overrides):
+        cfg = _write_config(tmp_path, **overrides)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error"}
 
 
 class TestConstrainedCommand:

@@ -58,12 +58,20 @@ class TestValidation:
         ("Dp", 0.0), ("Ap", 0.0), ("Ar", -1.0), ("h1", 0.0), ("h2", -0.5),
         ("p", 0.0), ("p", 1.5), ("r", 0.0), ("r", 1.0001),
         ("p1", 0.0), ("k1", 0.0), ("k2", -3.0),
+        ("Dp", math.inf), ("Dr", math.inf), ("lam", math.inf), ("Ap", math.inf),
+        ("Ar", math.inf), ("h1", math.inf), ("h2", math.inf), ("p1", math.inf),
+        ("p2", math.inf), ("Ap", math.nan), ("k2", math.nan),
     ])
     def test_bad_scalar_rejected(self, field, value):
         kwargs = dict(UNCON_BASE, lam=45.0)
         kwargs[field] = value
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["ap", "bp", "cp", "Wp", "Wr", "Kp", "Kr"])
+    def test_infinite_coefficient_rejected(self, field):
+        with pytest.raises(ParameterError):
+            ModelParams(**dict(SUSTAIN, **{field: math.inf}))
 
     def test_partial_coefficient_groups_rejected(self):
         with pytest.raises(ParameterError):

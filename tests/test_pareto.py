@@ -22,7 +22,6 @@ from relot import (
     scalar_subproblem,
     solve_unconstrained,
     weight_grid,
-    weights_from_point,
 )
 
 from conftest import SUSTAIN, UNCON_BASE, unconstrained_params
@@ -47,23 +46,6 @@ def _oracle_filter(triples):
 
 
 class TestWeights:
-    def test_from_point_inverse_proportional(self):
-        """f = (1, 2, 4) => w = (4/7, 2/7, 1/7)"""
-        w = weights_from_point((1.0, 2.0, 4.0))
-        assert w.w1 == pytest.approx(4.0 / 7.0, rel=1e-12)
-        assert w.w2 == pytest.approx(2.0 / 7.0, rel=1e-12)
-        assert w.w3 == pytest.approx(1.0 / 7.0, rel=1e-12)
-
-    def test_from_point_uniform(self):
-        w = weights_from_point((5.0, 5.0, 5.0))
-        assert w.w1 == w.w2 == w.w3 == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_from_point_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            weights_from_point((0.0, 1.0, 1.0))
-        with pytest.raises(DomainError):
-            weights_from_point((1.0, -2.0, 1.0))
-
     def test_vector_validation(self):
         with pytest.raises(DomainError):
             WeightVector(0.5, 0.5, 0.1)
