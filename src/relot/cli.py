@@ -25,6 +25,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .analytic import solve_constrained, solve_unconstrained
 from .gridsearch import default_grid, grid_min
 from .model import CostModel, ModelParams, ParameterError, _number
@@ -41,6 +43,8 @@ CONSTRAINED_EXTRA = ("case", "lambda1", "lambda2", "slackSupply", "slackRepair")
 PARETO_COLUMNS = ("w1", "w2", "w3", "Qp", "Qr", "f1", "f2", "f3", "rank")
 ORACLE_COLUMNS = ("Qp", "Qr", "f1", "cpuSeconds")
 MAX_SWEEP_ROWS = 100_000
+# m = 200 is (m-1)(m-2)/2 = 19 701 weights, about 15x the m = 53 front.
+MAX_GRID_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,10 @@ class RunConfig:
             raise ParameterError(f"output format must be one of {FORMATS}, got {self.output_format!r}")
         if self.grid_subdivisions is not None:
             m = self.grid_subdivisions
-            if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-                raise ParameterError(f"gridSubdivisions must be an integer >= 2, got {m!r}")
+            if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= MAX_GRID_SUBDIVISIONS:
+                raise ParameterError(
+                    f"gridSubdivisions must be an integer in [2, {MAX_GRID_SUBDIVISIONS}], got {m!r}"
+                )
         if self.command == "pareto":
             if self.grid_subdivisions is None or self.grid_subdivisions < 3:
                 raise ParameterError("the pareto command needs gridSubdivisions >= 3")
@@ -153,6 +159,8 @@ class RunConfig:
             mapping = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"configuration is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ParameterError(f"configuration is nested too deeply: {exc}") from exc
         return cls.from_mapping(mapping)
 
 
@@ -279,8 +287,6 @@ def _run_sweep(config: RunConfig) -> dict:
 
 
 def _run_pareto(config: RunConfig) -> dict:
-    if config.grid_subdivisions is None or config.grid_subdivisions < 3:
-        raise ParameterError("the pareto command needs gridSubdivisions >= 3")
     front = pareto_front(config.params, config.grid_subdivisions)
     rows = [
         [
@@ -303,7 +309,6 @@ def _run_pareto(config: RunConfig) -> dict:
         "gridCount": d.grid_count,
         "solved": d.solved,
         "skippedInfeasible": d.skipped_infeasible,
-        "refineFallbacks": d.refine_fallbacks,
         "shifts": list(d.shifts),
         "recorded": d.recorded,
         "deduplicated": d.deduplicated,
@@ -402,12 +407,18 @@ def main(argv: list[str] | None = None) -> int:
             output_path=args.out if args.out is not None else config.output_path,
             output_format=args.format if args.format is not None else config.output_format,
         )
-        diagnostics = run(config)
+        # numpy overflow raises FloatingPointError instead of printing a
+        # warning next to the one JSON line on stderr.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            diagnostics = run(config)
     except OSError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # parameters at the edge of the float range
+        print(json.dumps({"error": f"numeric range exceeded: {exc}"}), file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -417,6 +417,22 @@ class CostModel:
         """Smallest Qp with production factor >= m_floor (requires m_floor < 1)."""
         return math.sqrt(self._c_m / (1.0 - m_floor))
 
+    def ghg_minimizer(self) -> float | None:
+        """The Qp minimizing f2 over the emissions domain M in (0, 1).
+
+        f2 = ap*P^2 - bp*P + cp is a parabola in P = Dp/M, and M rises with
+        Qp.  Its vertex M_best = 2*ap*Dp/bp gives min_qp_for_factor(M_best)
+        when it lies in (0, 1).  Otherwise f2 is monotone in Qp: +inf when
+        it falls with Qp (ap > 0 with M_best >= 1, or bp = 0), 0.0 when it
+        rises (ap = 0 < bp), and None when it is constant (ap = bp = 0).
+        Requires the emissions coefficients.
+        """
+        pr = self.params
+        if pr.ap == 0.0:
+            return 0.0 if pr.bp > 0.0 else None
+        m_best = 2.0 * pr.ap * pr.Dp / pr.bp if pr.bp > 0.0 else math.inf
+        return self.min_qp_for_factor(m_best) if m_best < 1.0 else math.inf
+
     def ghg_value(self, qp):
         """f2 via the adjusted production rate P = Dp/M; no domain check."""
         pr = self.params
@@ -474,6 +490,18 @@ class CostModel:
         floor; not positive when no repair batch fits)."""
         pr = self.params
         return (pr.k2 / (pr.p2 * self._inflow) - qp * self._invDp) / self._c_T1
+
+    def repair_qp_cap(self, qr):
+        """Largest Qp at which the repair floor still admits Qr, the inverse
+        of repair_cap (+inf without a repair floor)."""
+        pr = self.params
+        return (pr.k2 / (pr.p2 * self._inflow) - self._c_T1 * qr) * pr.Dp
+
+    def best_repair(self, qp: float) -> float:
+        """The f1-best repair batch at Qp: Qr* = sqrt(gamma/delta) cut to
+        repair_cap(qp).  f1 is convex in Qr with its minimum at Qr*, and f2
+        and f3 do not depend on Qr, so every efficient decision holds it."""
+        return min(math.sqrt(self.gamma / self.delta), self.repair_cap(qp))
 
 
 # -- module-level operations ------------------------------------------------

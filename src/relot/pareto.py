@@ -6,33 +6,44 @@ scalarization: for weight w and index k, minimize w_k*f_k(x) subject to
 w_i*f_i(x) <= w_k*f_k(anchor) for the other two objectives, over the
 floor-feasible region with production factor M >= eps_m.
 
-Per weight, each of the three subproblems is anchored at the best
-candidate (the three individual minimizers plus the box center, ranked by
-weighted-max merit) that gives the subproblem a provably non-empty
-region, then re-anchored once at its own output.  Coincident triples are
-recorded as efficient, otherwise the non-dominated members of the triple
-as weak-efficient; a final global dominance filter produces the front.
+f2 and f3 depend on the decision only through Qp (the n*Qr term in f3
+equals C2*Qp), and f1 is convex in Qr with its minimum at Qr*.  Every
+efficient decision therefore holds the f1-best repair batch
+Qr = min(Qr*, repair_cap(Qp)) (``CostModel.best_repair``), and along that
+line the three individual minima are exact:
 
-When any objective is non-positive at the individual minima, all three
+* reduced f1 is convex in Qp, so its minimizer is the Qp of the
+  repair-floor-only optimum, clipped into the admissible Qp range;
+* f2 is a parabola in P = Dp/M with M increasing in Qp, so its minimizer
+  is ``CostModel.ghg_minimizer`` clipped into the range;
+* f3 is affine and non-decreasing in M, so its minimizer is the bottom
+  of the range (the f1 minimizer when f3 is constant).
+
+The admissible Qp range is the search box's, cut where repair_cap(Qp)
+falls to the box's lower Qr.  A constant f2 also takes the f1 minimizer.
+
+Per weight, each of the three subproblems is still solved numerically,
+anchored at the best candidate (the three individual minimizers plus the
+box center, ranked by weighted-max merit) that gives the subproblem a
+provably non-empty region; its output takes the f1-best repair batch at
+its Qp.  Coincident triples are recorded as efficient, otherwise the
+non-dominated members of the triple as weak-efficient; a final global
+dominance filter produces the front.
+
+When any objective is non-positive at its individual minimum, all three
 objectives are shifted by s_i = max(0, -min f_i) + 1 inside the
 scalarization; reported objective values are never shifted.
-
-f2 and f3 depend on the decision only through Qp (the n*Qr term in f3
-equals C2*Qp), so their subproblems are flat along Qr.  Their outputs
-take the f1-best repair batch min(Qr*, repair_cap(Qp)) at their Qp, the
-best member of that degenerate optimal set; f2 and f3 stay unchanged by
-construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .analytic import solve_unconstrained
+from .analytic import solve_constrained, solve_unconstrained
 from .minimize import ScalarProgram, SolveResult, minimize
 from .model import (
     EPS_M,
@@ -67,6 +78,9 @@ COINCIDENCE_RTOL = 1e-6
 # The emissions-domain bound is enforced with this interior margin so that
 # solver output satisfies M >= eps_m exactly despite feasibility tolerances.
 _M_MARGIN = 2e-8
+# Start lattice and evaluation budget of each scalarized subproblem of a front.
+SUBPROBLEM_LATTICE = (3, 3)
+SUBPROBLEM_BUDGET = 4000
 
 
 class InfeasibleModelError(RuntimeError):
@@ -127,7 +141,6 @@ class FrontDiagnostics:
     grid_count: int
     solved: int
     skipped_infeasible: int
-    refine_fallbacks: int
     shifts: tuple[float, float, float]
     individual_minima: tuple[BatchDecision, BatchDecision, BatchDecision]
     individual_values: tuple[float, float, float]
@@ -214,11 +227,10 @@ def decision_box(
         emissions_domain = params.has_emissions
 
     qp_hi = 3.0 * star.Qp
-    if params.has_emissions and params.ap > 0.0 and params.bp > 0.0:
-        p_best = params.bp / (2.0 * params.ap)  # unconstrained minimizer of f2 in P
-        m_best = params.Dp / p_best
-        if 0.0 < m_best < 1.0:
-            qp_hi = max(qp_hi, 2.0 * cm.min_qp_for_factor(m_best))
+    if params.has_emissions:
+        qp_f2 = cm.ghg_minimizer()
+        if qp_f2 is not None and 0.0 < qp_f2 < math.inf:
+            qp_hi = max(qp_hi, 2.0 * qp_f2)
     if math.isfinite(params.k1):
         qp_hi = min(qp_hi, params.k1 / params.p1)
     qp_lo = min(star.Qp, qp_hi) / 50.0
@@ -370,29 +382,16 @@ def _coincident(a: BatchDecision, b: BatchDecision, rtol: float) -> bool:
     ) <= rtol * max(abs(a.Qr), abs(b.Qr))
 
 
-def pareto_front(
-    params: ModelParams,
-    m: int,
-    *,
-    eps_m: float = EPS_M,
-    lattice: tuple[int, int] = (3, 3),
-    budget: int = 4000,
-    min_lattice: tuple[int, int] = (7, 7),
-    min_budget: int = 24000,
-    map_fn: Callable[..., Iterable] = map,
-) -> ParetoFront:
+def pareto_front(params: ModelParams, m: int, *, eps_m: float = EPS_M) -> ParetoFront:
     """Approximate the efficient frontier of (f1, f2, f3) on a weight grid.
 
-    Per weight: anchor each scalarized subproblem at the best-merit
-    feasible candidate that gives it a non-empty region, solve, refine once
-    anchored at the subproblem's own output (falling back to the first
-    output when the refinement reports infeasible), classify the triple
-    (coincident -> efficient, otherwise its non-dominated members ->
-    weak-efficient), then filter the union of all recorded points.
-
-    Grid points are independent work units; ``map_fn`` may be replaced by a
-    parallel map, and results are merged in grid order so the output does
-    not depend on execution interleaving.
+    The individual minima are exact (see the module docstring).  Per
+    weight, each scalarized subproblem is anchored at the best-merit
+    feasible candidate that gives it a non-empty region and solved
+    numerically; its output takes the f1-best repair batch at its Qp.  The
+    triple is classified (coincident -> efficient, otherwise its
+    non-dominated members -> weak-efficient), then the union of all
+    recorded points is filtered.
     """
     if not params.has_sustainability:
         raise ParameterError(
@@ -402,7 +401,6 @@ def pareto_front(
     cm = CostModel(params)
     bounds = decision_box(params, eps_m=eps_m, emissions_domain=True)
     lower, upper = bounds
-    floors = _floor_constraints(params, cm, lower, upper)
     funcs = (
         cm.average_cost,
         lambda qp, qr: cm.ghg_value(qp),
@@ -419,41 +417,27 @@ def pareto_front(
             cache[key] = got
         return got
 
-    # Individual minima of each objective over the admissible region.
-    star = solve_unconstrained(params).decision
+    def on_repair_line(qp: float) -> BatchDecision:
+        return BatchDecision(Qp=qp, Qr=cm.best_repair(qp))
 
-    def cheapest_repair(dec: BatchDecision) -> BatchDecision:
-        """The f1-best repair batch at dec.Qp: f1 is convex in Qr with its
-        minimum at Qr*, and f2, f3 do not depend on Qr."""
-        return BatchDecision(Qp=dec.Qp, Qr=min(star.Qr, cm.repair_cap(dec.Qp)))
+    # Exact individual minima over the Qp range where the f1-best repair
+    # batch stays inside the box.
+    qp_lo = lower[0]
+    qp_hi = min(upper[0], cm.repair_qp_cap(lower[1]))
 
-    base_seed = (
-        min(max(star.Qp, lower[0]), upper[0]),
-        min(max(star.Qr, lower[1]), upper[1]),
-    )
-    minima: list[BatchDecision] = []
-    floor_values: list[float] = []
-    for idx, fi in enumerate(funcs):
-        res = minimize(
-            ScalarProgram(objective=fi, lower=lower, upper=upper, constraints=tuple(floors)),
-            seeds=(base_seed,),
-            lattice=min_lattice,
-            budget=min_budget,
-        )
-        if not res.feasible:
-            raise InfeasibleModelError(
-                "an individual objective minimization found no feasible point"
-            )
-        dec = res.decision
-        if idx > 0:
-            dec = cheapest_repair(dec)
-        minima.append(dec)
-        floor_values.append(res.value)
+    def clip(qp: float) -> float:
+        return min(max(qp, qp_lo), qp_hi)
 
-    # Positivity shifts from the values observed at the minima.
-    observed = [min(triple(d)[i] for d in minima) for i in range(3)]
-    if any(v <= 0.0 for v in observed):
-        shifts = tuple(max(0.0, -v) + 1.0 for v in observed)
+    qp_f1 = clip(solve_constrained(replace(params, k1=math.inf)).decision.Qp)
+    qp_f2 = cm.ghg_minimizer()
+    qp_f2 = qp_f1 if qp_f2 is None else clip(qp_f2)
+    qp_f3 = qp_lo if params.Wp > 0.0 else qp_f1
+    minima = tuple(on_repair_line(qp) for qp in (qp_f1, qp_f2, qp_f3))
+    minimum_values = tuple(triple(d)[i] for i, d in enumerate(minima))
+
+    # Positivity shifts from the individual minimum values.
+    if any(v <= 0.0 for v in minimum_values):
+        shifts = tuple(max(0.0, -v) + 1.0 for v in minimum_values)
     else:
         shifts = (0.0, 0.0, 0.0)
 
@@ -467,12 +451,11 @@ def pareto_front(
     if not candidates:
         raise InfeasibleModelError("no feasible anchor candidate")
 
-    floor_triple = (floor_values[0], floor_values[1], floor_values[2])
     grid = weight_grid(m)
     seeds_base = [d.as_tuple() for d in minima]
-
-    def solve_weight(item):
-        gi, w = item
+    solved = skipped = 0
+    records: list[tuple[int, int, BatchDecision, tuple[float, float, float], str]] = []
+    for gi, w in enumerate(grid):
         wt = w.as_tuple()
         by_merit = sorted(
             candidates,
@@ -482,15 +465,11 @@ def pareto_front(
                 d.Qr,
             ),
         )
-        recs = []
-        solved = skipped = fallbacks = 0
         finals: dict[int, BatchDecision] = {}
         for k in (1, 2, 3):
-            result: BatchDecision | None = None
-            # First pass: anchor at the best candidate whose subproblem is
-            # not provably empty; later candidates give laxer levels.
+            # Anchor at the best candidate whose subproblem is not provably
+            # empty; later candidates give laxer levels.
             for anchor_dec in by_merit:
-                assert _feasible_decision(params, cm, anchor_dec, eps_m)
                 sub = scalar_subproblem(
                     params,
                     w,
@@ -500,64 +479,29 @@ def pareto_front(
                     eps_m=eps_m,
                     bounds=bounds,
                     seeds=[anchor_dec.as_tuple()] + seeds_base,
-                    lattice=lattice,
-                    budget=budget,
-                    objective_floors=floor_triple,
+                    lattice=SUBPROBLEM_LATTICE,
+                    budget=SUBPROBLEM_BUDGET,
+                    objective_floors=minimum_values,
                 )
                 if sub.iterations:
                     solved += 1
                 if sub.feasible:
-                    result = sub.decision
+                    finals[k] = on_repair_line(sub.decision.Qp)
                     break
-            if result is None:
-                skipped += 1
-                continue
-            # Refinement pass anchored at the first pass's own output.
-            assert _feasible_decision(params, cm, result, eps_m)
-            sub = scalar_subproblem(
-                params,
-                w,
-                k,
-                triple(result),
-                shifts=shifts,
-                eps_m=eps_m,
-                bounds=bounds,
-                seeds=[result.as_tuple()] + seeds_base,
-                lattice=(2, 2),
-                budget=budget,
-                objective_floors=floor_triple,
-            )
-            if sub.iterations:
-                solved += 1
-            if sub.feasible:
-                result = sub.decision
             else:
-                fallbacks += 1
-            if k != 1:
-                result = cheapest_repair(result)
-            finals[k] = result
+                skipped += 1
 
         if len(finals) == 3 and all(
             _coincident(finals[1], finals[k], COINCIDENCE_RTOL) for k in (2, 3)
         ) and _coincident(finals[2], finals[3], COINCIDENCE_RTOL):
             d = finals[1]
-            recs.append((gi, 1, d, triple(d), RANK_EFFICIENT))
+            records.append((gi, 1, d, triple(d), RANK_EFFICIENT))
         elif finals:
             ks = sorted(finals)
             objs = [triple(finals[k]) for k in ks]
             for pos in dominance_filter(objs):
                 k = ks[pos]
-                recs.append((gi, k, finals[k], objs[pos], RANK_WEAK))
-        return recs, solved, skipped, fallbacks
-
-    solved = skipped = fallbacks = 0
-    records: list[tuple[int, int, BatchDecision, tuple[float, float, float], str]] = []
-    for recs, n_solved, n_skipped, n_fallbacks in map_fn(solve_weight, enumerate(grid)):
-        records.extend(recs)
-        solved += n_solved
-        skipped += n_skipped
-        fallbacks += n_fallbacks
-    records.sort(key=lambda r: (r[0], r[1]))
+                records.append((gi, k, finals[k], objs[pos], RANK_WEAK))
 
     # Collapse coincident decisions recorded from different weights, keeping
     # the representative with the lexicographically smallest objectives.
@@ -591,10 +535,9 @@ def pareto_front(
         grid_count=len(grid),
         solved=solved,
         skipped_infeasible=skipped,
-        refine_fallbacks=fallbacks,
         shifts=shifts,
-        individual_minima=(minima[0], minima[1], minima[2]),
-        individual_values=floor_triple,
+        individual_minima=minima,
+        individual_values=minimum_values,
         recorded=len(records),
         deduplicated=collapsed,
         front_size=len(points),

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from relot import ModelParams, ParameterError, RunConfig, SweepRange
-from relot.cli import MAX_SWEEP_ROWS, main, run
+from relot.cli import MAX_GRID_SUBDIVISIONS, MAX_SWEEP_ROWS, main, run
 
 from conftest import SUSTAIN, UNCON_BASE
 
@@ -55,6 +55,13 @@ class TestRunConfig:
         with pytest.raises(ParameterError):
             RunConfig(params=ModelParams(**SUSTAIN), command="pareto",
                       grid_subdivisions=True)
+
+    def test_subdivisions_capped(self):
+        RunConfig(params=ModelParams(**SUSTAIN), command="pareto",
+                  grid_subdivisions=MAX_GRID_SUBDIVISIONS)
+        with pytest.raises(ParameterError):
+            RunConfig(params=ModelParams(**SUSTAIN), command="pareto",
+                      grid_subdivisions=MAX_GRID_SUBDIVISIONS + 1)
 
     def test_sweep_range_values(self):
         assert SweepRange(45.0, 105.0, 15.0).values() == [45.0, 60.0, 75.0, 90.0, 105.0]
@@ -149,9 +156,15 @@ class TestSolveCommand:
         {"sweepVar": "lambda", "sweepRange": {"lo": None, "hi": 60.0, "step": 1.0}},
         {"sweepVar": "lambda", "sweepRange": {"lo": -math.inf, "hi": 60.0, "step": 1.0}},
         {"sweepVar": "lambda", "sweepRange": {"lo": 44.1, "hi": 1e9, "step": 1e-3}},
+        # raw text: json.loads runs out of recursion depth on it
+        pytest.param('{"params": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deeply-nested"),
     ])
     def test_malformed_config_exits_2_with_one_json_line(self, tmp_path, capsys, overrides):
-        cfg = _write_config(tmp_path, **overrides)
+        if isinstance(overrides, str):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(overrides)
+        else:
+            cfg = _write_config(tmp_path, **overrides)
         assert main(["solve", "--config", str(cfg)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -283,6 +296,19 @@ class TestParetoCommand:
                 outputFormat="json")
             assert main(["pareto", "--config", str(cfg)]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("m", [MAX_GRID_SUBDIVISIONS + 1, 10**9])
+    def test_oversized_grid_exits_2_before_building_it(self, tmp_path, capsys, monkeypatch, m):
+        def no_grid(m):
+            raise AssertionError("a weight grid was built")
+
+        monkeypatch.setattr("relot.pareto.weight_grid", no_grid)
+        cfg = _write_config(tmp_path, params=SUSTAIN_JSON, command="pareto",
+                            gridSubdivisions=m)
+        assert main(["pareto", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "gridSubdivisions" in json.loads(lines[0])["error"]
 
     def test_infeasible_model_exit_code(self, tmp_path, capsys):
         params = {**SUSTAIN_JSON, "k1": 50.0}

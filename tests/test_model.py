@@ -240,6 +240,22 @@ class TestEmissions:
         with pytest.raises(ParameterError):
             ghg_emissions(unconstrained_params(45.0), 30.0)
 
+    @pytest.mark.parametrize("ap,bp,want", [
+        (3e-8, 1.4e-3, 72.27641798688508),  # vertex M_best = 3/70 inside (0, 1)
+        (3e-8, 0.0, math.inf),              # f2 = ap*P^2 falls with Qp
+        (1e-6, 1e-3, math.inf),             # vertex M_best = 2 beyond the domain
+        (0.0, 1.4e-3, 0.0),                 # f2 = cp - bp*P rises with Qp
+        (0.0, 0.0, None),                   # constant
+    ])
+    def test_minimizer_cases(self, ap, bp, want):
+        cm = CostModel(ModelParams(**{**SUSTAIN, "ap": ap, "bp": bp}))
+        got = cm.ghg_minimizer()
+        if want is None or not 0.0 < want < math.inf:
+            assert got == want
+            return
+        assert got == pytest.approx(want, rel=1e-12)
+        assert cm.ghg_value(got) < min(cm.ghg_value(got * 0.999), cm.ghg_value(got * 1.001))
+
 
 class TestEnergy:
     def test_reference_point(self):
@@ -316,6 +332,18 @@ class TestCostModelHelpers:
         cm = CostModel(floor_params(60.0))
         load = cm.repair_load(11.134756068377216, 52.294151222627576)
         assert load == pytest.approx(10.0, rel=1e-9)
+
+    def test_repair_floor_caps(self):
+        """repair_qp_cap inverts repair_cap; best_repair is Qr* cut to the cap."""
+        cm = CostModel(floor_params(60.0))
+        qr_star = math.sqrt(cm.gamma / cm.delta)
+        for qp in (1.0, 5.0, 11.0):
+            cap = cm.repair_cap(qp)
+            assert cm.repair_qp_cap(cap) == pytest.approx(qp, rel=1e-12)
+            assert cm.best_repair(qp) == min(qr_star, cap)
+        free = CostModel(unconstrained_params(60.0))
+        assert free.repair_qp_cap(50.0) == math.inf
+        assert free.best_repair(30.0) == math.sqrt(free.gamma / free.delta)
 
     def test_production_factor_inverse(self):
         cm = CostModel(ModelParams(**SUSTAIN))

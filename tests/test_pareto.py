@@ -7,6 +7,7 @@ import pytest
 
 from relot import (
     BatchDecision,
+    CostModel,
     DomainError,
     InfeasibleModelError,
     ModelParams,
@@ -240,12 +241,21 @@ class TestParetoFront:
 
     def test_points_are_repair_batch_optimal(self, sustainability_params):
         """f2 and f3 ignore Qr, so any front point must already hold the
-        cheapest Qr for its Qp; otherwise a cheaper twin would dominate it."""
+        cheapest Qr for its Qp; otherwise a cheaper twin would dominate it.
+        The individual minima hold it too, and their values are exact."""
         p = sustainability_params
+        cm = CostModel(p)
         qr_star = solve_unconstrained(p).decision.Qr
-        for pt in pareto_front(p, 7):
+        front = pareto_front(p, 7)
+        for pt in front:
             best = average_cost(p, pt.decision.Qp, qr_star)
             assert pt.objectives.f1 <= best * (1.0 + 1e-6)
+            assert pt.decision.Qr == cm.best_repair(pt.decision.Qp)
+        d = front.diagnostics
+        funcs = (cm.average_cost, lambda qp, qr: cm.ghg_value(qp), cm.energy_value)
+        for f, dec, value in zip(funcs, d.individual_minima, d.individual_values):
+            assert dec.Qr == cm.best_repair(dec.Qp)
+            assert value == f(dec.Qp, dec.Qr)
 
     def test_degenerate_objectives_collapse_to_single_point(self):
         """Constant f2 and zero f3 leave only the cost minimizer."""
@@ -266,14 +276,6 @@ class TestParetoFront:
         b = pareto_front(sustainability_params, 5)
         assert [(pt.decision, tuple(pt.objectives)) for pt in a] == [
             (pt.decision, tuple(pt.objectives)) for pt in b]
-
-    def test_map_hook(self, sustainability_params):
-        """A custom scheduler must not change the result."""
-        serial = pareto_front(sustainability_params, 5)
-        hooked = pareto_front(sustainability_params, 5,
-                              map_fn=lambda f, xs: [f(x) for x in xs])
-        assert [(pt.decision, tuple(pt.objectives)) for pt in serial] == [
-            (pt.decision, tuple(pt.objectives)) for pt in hooked]
 
     def test_infeasible_model_raises(self):
         p = ModelParams.from_mapping({**ModelParams(**SUSTAIN).to_mapping(), "k1": 50.0})

@@ -1,22 +1,33 @@
-"""Property tests of the four-coefficient cost core and the KKT solver.
+"""Property tests of the four-coefficient cost core, the KKT solver and the
+command-line error contract.
 
 Models are drawn in the bounded ranges of ``_random_valid_params``
 (test_model.py), decisions in [0.5, 400]; floor spaces are drawn relative
 to the unconstrained optimum so that every KKT case occurs.
 """
 
+import contextlib
+import io
+import json
 import math
+import warnings
 
-from hypothesis import given, settings, strategies as st
+import pytest
+
+from hypothesis import assume, given, settings, strategies as st
 
 from relot import (
     CostModel,
     ModelParams,
     NoKktPointError,
+    SweepRange,
     kkt_residual,
     solve_constrained,
     solve_unconstrained,
 )
+from relot.cli import main
+
+from test_cli import EX1_PARAMS, FLOOR_PARAMS
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -88,3 +99,107 @@ def test_constrained_solution_certifies_itself(params):
     if sol.lambda2 > 0.0:
         assert abs(slack2) <= tol2
     assert sol.f1 >= solve_unconstrained(params).f1 * (1.0 - 1e-12)
+
+
+# -- command-line contract ---------------------------------------------------------
+
+# One small valid config per subcommand; pareto is left out because one
+# front takes seconds.
+VALID_CONFIGS = {
+    "solve": {"command": "solve", "params": EX1_PARAMS, "outputFormat": "csv"},
+    "solve-constrained": {"command": "solve-constrained", "params": FLOOR_PARAMS},
+    "sweep": {
+        "command": "sweep", "params": EX1_PARAMS, "sweepVar": "lambda",
+        "sweepRange": {"lo": 45.0, "hi": 60.0, "step": 5.0},
+    },
+    "oracle": {"command": "oracle", "params": FLOOR_PARAMS},
+}
+SUBCOMMANDS = sorted(VALID_CONFIGS)
+MAX_TEST_SWEEP_ROWS = 50
+
+
+def _json_values(depth: int):
+    """JSON documents nested at most ``depth`` containers deep, at most 8
+    items per container."""
+    leaf = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    if depth == 0:
+        return leaf
+    inner = _json_values(depth - 1)
+    return (
+        leaf
+        | st.lists(inner, max_size=8)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=8)
+    )
+
+
+json_values = _json_values(4)
+# Numbers of every magnitude, including ints beyond the float range, so that
+# extreme values reach the solvers and not only the parser.
+any_magnitude = (
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-330, 308))
+    | st.integers(-(10**400), 10**400)
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config for one subcommand with one key, top-level or inside
+    params, replaced by an arbitrary JSON value."""
+    sub = draw(st.sampled_from(SUBCOMMANDS))
+    doc = json.loads(json.dumps(VALID_CONFIGS[sub]))
+    keys = sorted(doc) + [f"params.{k}" for k in sorted(doc["params"])]
+    key = draw(st.sampled_from(keys))
+    value = draw(any_magnitude | json_values)
+    if key.startswith("params."):
+        doc["params"][key[len("params."):]] = value
+    else:
+        doc[key] = value
+    return sub, doc
+
+
+def _small_sweep(doc) -> bool:
+    """False when the document holds a sweep range of more than
+    MAX_TEST_SWEEP_ROWS rows that validation would accept."""
+    rng = doc.get("sweepRange") if isinstance(doc, dict) else None
+    try:
+        rows = len(SweepRange(*(float(rng[k]) for k in ("lo", "hi", "step"))).values())
+    except (TypeError, KeyError, ValueError, OverflowError):
+        return True
+    return rows <= MAX_TEST_SWEEP_ROWS
+
+
+def _check_contract(workdir, sub: str, doc) -> None:
+    """main exits 0, 2 or 3 with exactly one JSON line on stderr, no traceback
+    and no warning."""
+    assume(_small_sweep(doc))
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([sub, "--config", str(cfg), "--out", str(workdir / "table.csv")])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, err.getvalue()
+    report = json.loads(lines[0])
+    assert isinstance(report, dict)
+    assert ("error" in report) == (code != 0)
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-contract")
+
+
+@SETTINGS
+@given(st.sampled_from(SUBCOMMANDS), json_values)
+def test_any_json_document_meets_the_cli_contract(workdir, sub, doc):
+    _check_contract(workdir, sub, doc)
+
+
+@SETTINGS
+@given(mutated_configs())
+def test_mutated_valid_config_meets_the_cli_contract(workdir, case):
+    _check_contract(workdir, *case)
