@@ -33,7 +33,7 @@ __all__ = [
 
 MULTIPLIER_TOL = 1e-12
 _MAX_MULTIPLIER = 1e12  # no case-III point is accepted beyond this repair multiplier
-_FEAS_TOL = 1e-7  # relative slack tolerance when accepting a KKT candidate
+_FEAS_TOL = 1e-10  # relative slack tolerance when accepting a KKT candidate
 _CASE_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
 
 

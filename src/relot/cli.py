@@ -126,10 +126,12 @@ class RunConfig:
             if not isinstance(m, int) or isinstance(m, bool):
                 raise ParameterError(f"gridSubdivisions must be an integer, got {m!r}")
             kwargs["grid_subdivisions"] = m
-        if "outputPath" in data:
-            kwargs["output_path"] = str(data.pop("outputPath"))
-        if "outputFormat" in data:
-            kwargs["output_format"] = str(data.pop("outputFormat"))
+        for key, name in (("outputPath", "output_path"), ("outputFormat", "output_format")):
+            if key in data:
+                value = data.pop(key)
+                if not isinstance(value, str):
+                    raise ParameterError(f"{key} must be a string, got {value!r}")
+                kwargs[name] = value
         if data:
             raise ParameterError(f"unknown configuration keys {sorted(data)}")
         return cls(**kwargs)
@@ -258,8 +260,7 @@ def _run_solve(config: RunConfig, constrained: bool) -> dict:
 
 
 def _split_output(path: str, suffix: str, fmt: str) -> str:
-    stem, dot, _ = path.rpartition(".")
-    base = stem if dot else path
+    base = os.path.splitext(path)[0]
     return f"{base}_{suffix}.{ 'json' if fmt == 'json' else 'csv' }"
 
 

@@ -7,9 +7,12 @@ cell for the average cost f1 (two-stage by default: a full scan at
 around the incumbent), and ``grid_front`` returns the non-dominated
 feasible cells of the three-objective model on a single-stage lattice.
 
-Rows are evaluated vectorized over Qr; memory stays proportional to one
-row.  ``grid_front`` materializes every feasible cell and is meant for
-coarse lattices.
+``grid_min`` evaluates one Qp row at a time, vectorized over Qr, so its
+memory stays proportional to one row even on 1e8-cell lattices.
+``grid_front`` masks the whole lattice at once (the cell guard caps its
+size) and materializes every feasible cell, so it is meant for coarse
+lattices.  Neither scan uses the model's separable structure: every cell
+is evaluated.
 """
 
 from __future__ import annotations
@@ -155,40 +158,30 @@ def grid_min(
 def grid_front(
     params: ModelParams,
     grid: GridSpec,
-    *,
-    eps_m: float = EPS_M,
 ) -> list[tuple[BatchDecision, ObjectiveVector]]:
     """Non-dominated feasible cells of (f1, f2, f3), scan order preserved.
 
     Feasibility means both floor constraints and production factor
-    M >= eps_m, matching the three-objective model's constraint set.
+    M >= EPS_M, matching the three-objective model's constraint set.
     """
     if not params.has_sustainability:
         raise ParameterError(
             "the three-objective front needs the emissions and energy coefficients"
         )
     cm = CostModel(params)
-    qr_axis = grid.qr_axis()
-    decisions: list[tuple[float, float]] = []
-    triples: list[tuple[float, float, float]] = []
-    for qp in grid.qp_axis():
-        if cm.production_factor(qp) < eps_m or cm.supply_slack(qp) < 0.0:
-            continue
-        mask = cm.repair_slack(qp, qr_axis) >= 0.0
-        if not mask.any():
-            continue
-        qr = qr_axis[mask]
-        f1 = cm.average_cost(qp, qr)
-        f2 = float(cm.ghg_value(qp))
-        f3 = cm.energy_value(qp, qr)
-        f3 = np.broadcast_to(np.asarray(f3, dtype=float), f1.shape)
-        for j in range(len(qr)):
-            decisions.append((float(qp), float(qr[j])))
-            triples.append((float(f1[j]), f2, float(f3[j])))
-    if not triples:
+    qp, qr = np.meshgrid(grid.qp_axis(), grid.qr_axis(), indexing="ij")
+    feasible = (
+        (cm.production_factor(qp) >= EPS_M)
+        & (cm.supply_slack(qp) >= 0.0)
+        & (cm.repair_slack(qp, qr) >= 0.0)
+    )
+    qp, qr = qp[feasible], qr[feasible]
+    if not qp.size:
         raise EmptyFeasibleGridError("no feasible cell in the scan lattice")
-    keep = dominance_filter(triples)
+    objs = np.column_stack(
+        (cm.average_cost(qp, qr), cm.ghg_value(qp), cm.energy_value(qp, qr))
+    )
     return [
-        (BatchDecision(Qp=decisions[i][0], Qr=decisions[i][1]), ObjectiveVector(*triples[i]))
-        for i in keep
+        (BatchDecision(Qp=float(qp[i]), Qr=float(qr[i])), ObjectiveVector(*objs[i].tolist()))
+        for i in dominance_filter(objs)
     ]

@@ -449,27 +449,27 @@ class CostModel:
         M = self.production_factor(qp)
         return ((M * pr.Wp / pr.Dp + pr.Kp) + (pr.Wr / pr.lam + pr.Kr) * self.C2) / self.C3
 
-    def ghg(self, qp: float, eps_m: float = EPS_M) -> GhgEmissions:
-        if not self.params.has_emissions:
-            raise ParameterError("emissions coefficients ap, bp, cp are not set")
+    def _admissible_factor(self, qp: float) -> float:
+        """Production factor M at Qp; DomainError below the floor EPS_M."""
         M = self.production_factor(qp)
-        if not (M >= eps_m):
+        if not (M >= EPS_M):
             raise DomainError(
-                f"production factor M={M!r} below the admissible floor {eps_m!r} "
+                f"production factor M={M!r} below the admissible floor {EPS_M!r} "
                 f"at Qp={qp!r}"
             )
+        return M
+
+    def ghg(self, qp: float) -> GhgEmissions:
+        if not self.params.has_emissions:
+            raise ParameterError("emissions coefficients ap, bp, cp are not set")
+        M = self._admissible_factor(qp)
         P = self.params.Dp / M
         return GhgEmissions(M=M, P=P, f2=self.params.ap * P * P - self.params.bp * P + self.params.cp)
 
-    def energy(self, qp: float, qr: float, eps_m: float = EPS_M) -> float:
+    def energy(self, qp: float, qr: float) -> float:
         if not self.params.has_energy:
             raise ParameterError("energy coefficients Wp, Wr, Kp, Kr are not set")
-        M = self.production_factor(qp)
-        if not (M >= eps_m):
-            raise DomainError(
-                f"production factor M={M!r} below the admissible floor {eps_m!r} "
-                f"at Qp={qp!r}"
-            )
+        self._admissible_factor(qp)
         return self.energy_value(qp, qr)
 
     # -- floor space -------------------------------------------------------
@@ -517,21 +517,21 @@ def average_cost(params: ModelParams, qp, qr):
     return CostModel(params).average_cost(qp, qr)
 
 
-def ghg_emissions(params: ModelParams, qp: float, *, eps_m: float = EPS_M) -> GhgEmissions:
+def ghg_emissions(params: ModelParams, qp: float) -> GhgEmissions:
     """Emissions objective f2 with its M and P intermediates."""
-    return CostModel(params).ghg(qp, eps_m)
+    return CostModel(params).ghg(qp)
 
 
-def energy_use(params: ModelParams, d: BatchDecision, *, eps_m: float = EPS_M) -> float:
+def energy_use(params: ModelParams, d: BatchDecision) -> float:
     """Energy objective f3 at a decision."""
-    return CostModel(params).energy(d.Qp, d.Qr, eps_m)
+    return CostModel(params).energy(d.Qp, d.Qr)
 
 
-def objective_breakdown(params: ModelParams, d: BatchDecision, *, eps_m: float = EPS_M) -> ObjectiveBreakdown:
+def objective_breakdown(params: ModelParams, d: BatchDecision) -> ObjectiveBreakdown:
     """f1, f2, f3 (plus M, P) at one decision; requires all coefficient groups."""
     cm = CostModel(params)
-    g = cm.ghg(d.Qp, eps_m)
-    f3 = cm.energy(d.Qp, d.Qr, eps_m)
+    g = cm.ghg(d.Qp)
+    f3 = cm.energy(d.Qp, d.Qr)
     return ObjectiveBreakdown(M=g.M, P=g.P, f1=cm.average_cost(d.Qp, d.Qr), f2=g.f2, f3=f3)
 
 
@@ -539,8 +539,6 @@ def check_feasibility(
     params: ModelParams,
     d: BatchDecision,
     include_emissions_domain: bool = False,
-    *,
-    eps_m: float = EPS_M,
 ) -> FeasibilityReport:
     """Floor-space feasibility of a decision; optionally the emissions domain."""
     cm = CostModel(params)
@@ -549,7 +547,7 @@ def check_feasibility(
     slack_m = None
     dom_ok = None
     if include_emissions_domain:
-        slack_m = cm.production_factor(d.Qp) - eps_m
+        slack_m = cm.production_factor(d.Qp) - EPS_M
         dom_ok = slack_m >= 0.0
     return FeasibilityReport(
         slack_supply=s1,

@@ -4,7 +4,7 @@ Objectives: f1 average cost rate, f2 emissions, f3 energy use.  A weight
 grid over the interior of the 2-simplex drives an objective-constraint
 scalarization: for weight w and index k, minimize w_k*f_k(x) subject to
 w_i*f_i(x) <= w_k*f_k(anchor) for the other two objectives, over the
-floor-feasible region with production factor M >= eps_m.
+floor-feasible region with production factor M >= EPS_M.
 
 f2 and f3 depend on the decision only through Qp (the n*Qr term in f3
 equals C2*Qp), and f1 is convex in Qr with its minimum at Qr*.  Every
@@ -76,7 +76,7 @@ RANK_WEAK = "weak-efficient"
 # Decisions closer than this (relative, per coordinate) count as the same point.
 COINCIDENCE_RTOL = 1e-6
 # The emissions-domain bound is enforced with this interior margin so that
-# solver output satisfies M >= eps_m exactly despite feasibility tolerances.
+# solver output satisfies M >= EPS_M exactly despite feasibility tolerances.
 _M_MARGIN = 2e-8
 # Start lattice and evaluation budget of each scalarized subproblem of a front.
 SUBPROBLEM_LATTICE = (3, 3)
@@ -190,19 +190,23 @@ def dominance_filter(points: Sequence) -> list[int]:
 
     u dominates v when u <= v componentwise with at least one strict
     component; identical vectors do not dominate each other.
+
+    Points are visited in lexicographic order (f1, then f2, then f3).  A
+    point that dominates v sorts strictly before v, and when v is dominated
+    at all, a non-dominated point dominates it (dominance is transitive and
+    the set is finite).  So each point is compared with the survivors kept
+    so far only (Kung, Luccio & Preparata, JACM 1975): O(n*h) comparisons
+    for h survivors, against n^2 for an all-pairs pass.
     """
-    arr = np.asarray([_as_triple(p) for p in points], dtype=float)
-    n = len(arr)
-    if n <= 1:
-        return list(range(n))
-    keep = np.ones(n, dtype=bool)
-    chunk = max(1, int(5_000_000 // n))
-    for s in range(0, n, chunk):
-        blk = arr[s : s + chunk]
-        le = (arr[:, None, :] <= blk[None, :, :]).all(axis=2)
-        lt = (arr[:, None, :] < blk[None, :, :]).any(axis=2)
-        keep[s : s + chunk] &= ~(le & lt).any(axis=0)
-    return [i for i in range(n) if keep[i]]
+    arr = np.asarray([_as_triple(p) for p in points], dtype=float).reshape(-1, 3)
+    kept = np.empty_like(arr)
+    keep: list[int] = []
+    for i in np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0])).tolist():
+        v, s = arr[i], kept[: len(keep)]
+        if not ((s <= v).all(axis=1) & (s < v).any(axis=1)).any():
+            kept[len(keep)] = v
+            keep.append(i)
+    return sorted(keep)
 
 
 # -- search region --------------------------------------------------------------
@@ -211,14 +215,13 @@ def dominance_filter(points: Sequence) -> list[int]:
 def decision_box(
     params: ModelParams,
     *,
-    eps_m: float = EPS_M,
     emissions_domain: bool | None = None,
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Bound box for numeric searches.
 
     Spans well past the unconstrained optimum, is cut by the supply floor,
     and (when the emissions/energy model is in play) starts at the smallest
-    Qp whose production factor clears eps_m, so every point in the box is
+    Qp whose production factor clears EPS_M, so every point in the box is
     emissions-admissible.
     """
     cm = CostModel(params)
@@ -235,7 +238,7 @@ def decision_box(
         qp_hi = min(qp_hi, params.k1 / params.p1)
     qp_lo = min(star.Qp, qp_hi) / 50.0
     if emissions_domain:
-        qp_lo = max(qp_lo, cm.min_qp_for_factor(eps_m + _M_MARGIN))
+        qp_lo = max(qp_lo, cm.min_qp_for_factor(EPS_M + _M_MARGIN))
     if not qp_lo < qp_hi:
         raise InfeasibleModelError(
             f"no admissible Qp: floor cap {qp_hi!r} below domain floor {qp_lo!r}"
@@ -267,13 +270,13 @@ def _floor_constraints(params: ModelParams, cm: CostModel, lower, upper) -> list
     return cons
 
 
-def _feasible_decision(params: ModelParams, cm: CostModel, dec: BatchDecision, eps_m: float) -> bool:
+def _feasible_decision(params: ModelParams, cm: CostModel, dec: BatchDecision) -> bool:
     """Feasibility of a decision for the original constraint set."""
     tol1 = 1e-8 * (max(1.0, params.k1) if math.isfinite(params.k1) else 1.0)
     tol2 = 1e-8 * (max(1.0, params.k2) if math.isfinite(params.k2) else 1.0)
     if cm.supply_slack(dec.Qp) < -tol1 or cm.repair_slack(dec.Qp, dec.Qr) < -tol2:
         return False
-    if params.has_emissions and cm.production_factor(dec.Qp) < eps_m:
+    if params.has_emissions and cm.production_factor(dec.Qp) < EPS_M:
         return False
     return True
 
@@ -288,7 +291,6 @@ def scalar_subproblem(
     anchor,
     *,
     shifts: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    eps_m: float = EPS_M,
     bounds=None,
     seeds: Sequence[tuple[float, float]] = (),
     lattice: tuple[int, int] = (4, 4),
@@ -320,7 +322,7 @@ def scalar_subproblem(
     if needs_m and not params.has_sustainability:
         raise ParameterError("emissions/energy coefficients are required for this subproblem")
     if bounds is None:
-        bounds = decision_box(params, eps_m=eps_m, emissions_domain=needs_m)
+        bounds = decision_box(params, emissions_domain=needs_m)
     lower, upper = bounds
 
     funcs = {
@@ -382,7 +384,7 @@ def _coincident(a: BatchDecision, b: BatchDecision, rtol: float) -> bool:
     ) <= rtol * max(abs(a.Qr), abs(b.Qr))
 
 
-def pareto_front(params: ModelParams, m: int, *, eps_m: float = EPS_M) -> ParetoFront:
+def pareto_front(params: ModelParams, m: int) -> ParetoFront:
     """Approximate the efficient frontier of (f1, f2, f3) on a weight grid.
 
     The individual minima are exact (see the module docstring).  Per
@@ -399,7 +401,7 @@ def pareto_front(params: ModelParams, m: int, *, eps_m: float = EPS_M) -> Pareto
         )
 
     cm = CostModel(params)
-    bounds = decision_box(params, eps_m=eps_m, emissions_domain=True)
+    bounds = decision_box(params, emissions_domain=True)
     lower, upper = bounds
     funcs = (
         cm.average_cost,
@@ -446,7 +448,7 @@ def pareto_front(params: ModelParams, m: int, *, eps_m: float = EPS_M) -> Pareto
         Qp=math.sqrt(lower[0] * upper[0]), Qr=math.sqrt(lower[1] * upper[1])
     )
     candidates = [
-        d for d in (*minima, center) if _feasible_decision(params, cm, d, eps_m)
+        d for d in (*minima, center) if _feasible_decision(params, cm, d)
     ]
     if not candidates:
         raise InfeasibleModelError("no feasible anchor candidate")
@@ -476,7 +478,6 @@ def pareto_front(params: ModelParams, m: int, *, eps_m: float = EPS_M) -> Pareto
                     k,
                     triple(anchor_dec),
                     shifts=shifts,
-                    eps_m=eps_m,
                     bounds=bounds,
                     seeds=[anchor_dec.as_tuple()] + seeds_base,
                     lattice=SUBPROBLEM_LATTICE,

@@ -6,6 +6,7 @@ import pytest
 
 from relot import (
     BatchDecision,
+    CostModel,
     ModelParams,
     NoKktPointError,
     SolverError,
@@ -127,6 +128,24 @@ class TestConstrained:
         p = ModelParams(lam=lam, p2=1.0, k2=1e-6, **UNCON_BASE)
         with pytest.raises(NoKktPointError):
             solve_constrained(p)
+
+    def test_near_tie_keeps_both_floors(self):
+        """Both floors at 0.99999 of the unconstrained usage: case III's
+        point overshoots the supply floor by 1.8e-7, so the answer is case
+        IV, feasible to round-off."""
+        base = dict(Dp=10.0, Dr=3.896484375, p=0.328125, r=0.296875,
+                    lam=10.71533203125, Ap=1.0, Ar=1.0, h1=3.875, h2=6.75,
+                    p1=1.0, p2=1.0)
+        star = solve_unconstrained(ModelParams(**base)).decision
+        cm = CostModel(ModelParams(**base))
+        p = ModelParams(**base, k1=0.99999 * star.Qp,
+                        k2=0.99999 * cm.repair_load(star.Qp, star.Qr))
+        sol = solve_constrained(p)
+        assert sol.case == "IV"
+        assert sol.lambda1 > 0.0 and sol.lambda2 > 0.0
+        cm = CostModel(p)
+        assert cm.supply_slack(sol.decision.Qp) >= -1e-12 * p.k1
+        assert cm.repair_slack(sol.decision.Qp, sol.decision.Qr) >= -1e-12 * p.k2
 
     def test_constrained_never_beats_unconstrained(self):
         for lam in sorted(CON_ROWS):

@@ -156,10 +156,15 @@ class TestSolveCommand:
         {"sweepVar": "lambda", "sweepRange": {"lo": None, "hi": 60.0, "step": 1.0}},
         {"sweepVar": "lambda", "sweepRange": {"lo": -math.inf, "hi": 60.0, "step": 1.0}},
         {"sweepVar": "lambda", "sweepRange": {"lo": 44.1, "hi": 1e9, "step": 1e-3}},
+        {"outputPath": None},
+        {"outputPath": 7},
         # raw text: json.loads runs out of recursion depth on it
         pytest.param('{"params": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deeply-nested"),
     ])
-    def test_malformed_config_exits_2_with_one_json_line(self, tmp_path, capsys, overrides):
+    def test_malformed_config_exits_2_with_one_json_line(
+        self, tmp_path, capsys, monkeypatch, overrides
+    ):
+        monkeypatch.chdir(tmp_path)
         if isinstance(overrides, str):
             cfg = tmp_path / "config.json"
             cfg.write_text(overrides)
@@ -169,6 +174,7 @@ class TestSolveCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error"}
+        assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestConstrainedCommand:
@@ -258,6 +264,27 @@ class TestSweepCommand:
             sweepRange={"lo": 40.0, "hi": 60.0, "step": 10.0},
             outputPath=str(out))
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("output_path,written", [
+        ("runs.v2/series", "runs.v2/series"),
+        ("./series", "series"),
+        ("out/series.csv", "out/series"),
+        ("series", "series"),
+    ])
+    def test_series_files_stay_beside_output_path(
+        self, tmp_path, capsys, monkeypatch, output_path, written
+    ):
+        """Only a file extension is replaced, never a dot in a directory name."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.v2").mkdir()
+        (tmp_path / "out").mkdir()
+        cfg = _write_config(
+            tmp_path, command="sweep", sweepVar="lambda",
+            sweepRange={"lo": 45.0, "hi": 60.0, "step": 15.0},
+            outputPath=output_path)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        files = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*.csv"))
+        assert files == [f"{written}_batches.csv", f"{written}_cycles.csv"]
 
     def test_sweep_requires_output_path(self, tmp_path, capsys):
         cfg = _write_config(

@@ -131,6 +131,26 @@ class TestGridFront:
         with pytest.raises(ParameterError):
             grid_front(p, default_grid(p))
 
+    def test_equals_per_cell_scan(self):
+        """The masked scan equals a literal per-cell loop, exactly: order,
+        decisions and objective floats.  The lattice straddles the M floor,
+        the supply floor and the repair floor, which binds on the front."""
+        p = ModelParams(**{**SUSTAIN, "k1": 72.55, "k2": 43.5})
+        cm = CostModel(p)
+        spec = GridSpec((70.5, 73.0), (202.0, 205.0), 0.1)
+        cells, triples = [], []
+        for qp in spec.qp_axis().tolist():
+            for qr in spec.qr_axis().tolist():
+                if (cm.production_factor(qp) >= 1e-6 and cm.supply_slack(qp) >= 0.0
+                        and cm.repair_slack(qp, qr) >= 0.0):
+                    cells.append((qp, qr))
+                    triples.append((cm.average_cost(qp, qr), cm.ghg_value(qp),
+                                    cm.energy_value(qp, qr)))
+        want = [(cells[i], triples[i]) for i in _oracle_filter(triples)]
+        got = [(dec.as_tuple(), vec.as_tuple()) for dec, vec in grid_front(p, spec)]
+        assert len(want) >= 5
+        assert got == want
+
     def test_coarse_front_properties(self):
         p = ModelParams(**SUSTAIN)
         lo, hi = decision_box(p)

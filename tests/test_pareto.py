@@ -105,13 +105,30 @@ class TestDominanceFilter:
         assert dominance_filter(triples) == _oracle_filter(triples)
 
     def test_chunked_path_matches_oracle(self):
-        """Above ~2.2k points the pairwise comparison runs in chunks."""
+        """2600 uniform points: few survivors, each dropped point compared
+        against the survivors kept so far only."""
         rng = random.Random(3)
         triples = [
             (rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1))
             for _ in range(2600)
         ]
         assert dominance_filter(triples) == _oracle_filter(triples)
+
+    def test_plane_cloud_keeps_every_point(self):
+        """x+y+z = 1 in exact binary fractions: nothing dominates anything,
+        so every point is compared with every survivor before it."""
+        rng = random.Random(7)
+        scale = 1 << 20
+        triples = []
+        for _ in range(3000):
+            a = rng.randrange(scale + 1)
+            b = rng.randrange(scale + 1 - a)
+            triples.append((a / scale, b / scale, (scale - a - b) / scale))
+        assert dominance_filter(triples) == list(range(3000))
+
+    def test_empty_and_single_point(self):
+        assert dominance_filter([]) == []
+        assert dominance_filter([(1.0, 2.0, 3.0)]) == [0]
 
 
 class TestDecisionBox:

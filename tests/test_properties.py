@@ -1,5 +1,5 @@
-"""Property tests of the four-coefficient cost core, the KKT solver and the
-command-line error contract.
+"""Property tests of the four-coefficient cost core, the KKT solver, the
+dominance filter and the command-line error contract.
 
 Models are drawn in the bounded ranges of ``_random_valid_params``
 (test_model.py), decisions in [0.5, 400]; floor spaces are drawn relative
@@ -21,6 +21,7 @@ from relot import (
     ModelParams,
     NoKktPointError,
     SweepRange,
+    dominance_filter,
     kkt_residual,
     solve_constrained,
     solve_unconstrained,
@@ -28,6 +29,7 @@ from relot import (
 from relot.cli import main
 
 from test_cli import EX1_PARAMS, FLOOR_PARAMS
+from test_pareto import _oracle_filter
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -99,6 +101,16 @@ def test_constrained_solution_certifies_itself(params):
     if sol.lambda2 > 0.0:
         assert abs(slack2) <= tol2
     assert sol.f1 >= solve_unconstrained(params).f1 * (1.0 - 1e-12)
+
+
+# Small integers make ties, partial ties and exact duplicates common.
+small_triples = st.lists(st.tuples(*[st.integers(0, 3).map(float)] * 3), max_size=40)
+
+
+@SETTINGS
+@given(small_triples)
+def test_dominance_filter_matches_pairwise_oracle(triples):
+    assert dominance_filter(triples) == _oracle_filter(triples)
 
 
 # -- command-line contract ---------------------------------------------------------
