@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -373,6 +374,7 @@ def run_pareto(config: RunConfig) -> dict:
     return run(_retarget(config, "pareto"))
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relot",

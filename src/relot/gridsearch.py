@@ -7,8 +7,9 @@ cell for the average cost f1 (two-stage by default: a full scan at
 around the incumbent), and ``grid_front`` returns the non-dominated
 feasible cells of the three-objective model on a single-stage lattice.
 
-``grid_min`` evaluates one Qp row at a time, vectorized over Qr, so its
-memory stays proportional to one row even on 1e8-cell lattices.
+``grid_min`` evaluates blocks of whole Qp rows, vectorized over the
+block: at most 2^14 cells, or one row when a row is longer.  Its memory
+stays bounded by the larger of the two even on 1e8-cell lattices.
 ``grid_front`` masks the whole lattice at once (the cell guard caps its
 size) and materializes every feasible cell, so it is meant for coarse
 lattices.  Neither scan uses the model's separable structure: every cell
@@ -39,6 +40,8 @@ __all__ = [
 REFINE_RATIO = 100
 WINDOW_STEPS = 2.5
 _MAX_CELLS = 1e8
+# grid_min evaluates whole Qp rows in blocks of at most this many cells.
+_BLOCK_CELLS = 1 << 14
 
 
 class EmptyFeasibleGridError(RuntimeError):
@@ -100,20 +103,32 @@ def _scan_min(
     qr_axis: np.ndarray,
     constrained: bool,
 ):
-    """Best feasible cell of f1, ties broken lexicographically by (Qp, Qr)."""
+    """Best feasible cell of f1, ties broken lexicographically by (Qp, Qr).
+
+    Walks the Qp axis in blocks of whole rows, at most _BLOCK_CELLS cells
+    (or one row) each.  A block's argmin runs in C order, so it already
+    prefers the smallest Qp and then the smallest Qr; blocks are compared
+    as (f1, Qp, Qr) tuples.  Constrained blocks evaluate f1 on their
+    feasible cells only.
+    """
     best = None
-    for qp in qp_axis:
-        qr = qr_axis
+    rows = max(1, _BLOCK_CELLS // qr_axis.size)
+    for start in range(0, qp_axis.size, rows):
+        qp = qp_axis[start : start + rows]
         if constrained:
-            if cm.supply_slack(qp) < 0.0:
+            qp = qp[~(cm.supply_slack(qp) < 0.0)]
+            feasible = cm.repair_slack(qp[:, None], qr_axis) >= 0.0
+            if not feasible.any():
                 continue
-            mask = cm.repair_slack(qp, qr) >= 0.0
-            if not mask.any():
-                continue
-            qr = qr[mask]
-        values = cm.average_cost(qp, qr)
-        pos = int(np.argmin(values))  # first hit keeps the smallest Qr on ties
-        cand = (float(values[pos]), float(qp), float(qr[pos]))
+            qp = np.broadcast_to(qp[:, None], feasible.shape)[feasible]
+            qr = np.broadcast_to(qr_axis, feasible.shape)[feasible]
+            values = cm.average_cost(qp, qr)
+            pos = int(np.argmin(values))
+            cand = (float(values[pos]), float(qp[pos]), float(qr[pos]))
+        else:
+            values = cm.average_cost(qp[:, None], qr_axis)
+            i, j = divmod(int(np.argmin(values)), qr_axis.size)
+            cand = (float(values[i, j]), float(qp[i]), float(qr_axis[j]))
         if best is None or cand < best:
             best = cand
     return best

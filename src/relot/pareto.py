@@ -197,8 +197,16 @@ def dominance_filter(points: Sequence) -> list[int]:
     the set is finite).  So each point is compared with the survivors kept
     so far only (Kung, Luccio & Preparata, JACM 1975): O(n*h) comparisons
     for h survivors, against n^2 for an all-pairs pass.
+
+    An (n, 3) ndarray is used as it is; any other sequence is read one
+    point at a time.
     """
-    arr = np.asarray([_as_triple(p) for p in points], dtype=float).reshape(-1, 3)
+    if isinstance(points, np.ndarray):
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise DomainError(f"expected an (n, 3) array of objective values, got {points.shape}")
+        arr = points.astype(float, copy=False)
+    else:
+        arr = np.asarray([_as_triple(p) for p in points], dtype=float).reshape(-1, 3)
     kept = np.empty_like(arr)
     keep: list[int] = []
     for i in np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0])).tolist():

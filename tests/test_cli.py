@@ -6,7 +6,7 @@ import math
 import pytest
 
 from relot import ModelParams, ParameterError, RunConfig, SweepRange
-from relot.cli import MAX_GRID_SUBDIVISIONS, MAX_SWEEP_ROWS, main, run
+from relot.cli import MAX_GRID_SUBDIVISIONS, MAX_SWEEP_ROWS, _parser, main, run
 
 from conftest import SUSTAIN, UNCON_BASE
 
@@ -362,6 +362,37 @@ class TestOracleCommand:
         cfg = _write_config(tmp_path, params={**FLOOR_PARAMS, "k1": 0.001},
                             command="oracle")
         assert main(["oracle", "--config", str(cfg)]) == 3
+
+
+class TestParserReuse:
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        """The parser is built once per process.  A call's options, and an
+        argv that argparse rejects, leave no trace in the next call."""
+        solve = _write_config(tmp_path, "solve.json")
+        floor = _write_config(tmp_path, "floor.json", params=FLOOR_PARAMS,
+                              command="solve-constrained")
+        table = tmp_path / "table.json"
+        assert main(["solve", "--config", str(solve), "--out", str(table),
+                     "--format", "json"]) == 0
+        assert json.loads(table.read_text())["rows"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-constrained", "--config", str(floor), "--format", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["solve-constrained", "--config", str(floor)]) == 0
+        reused = capsys.readouterr()
+        _parser.cache_clear()
+        assert main(["solve-constrained", "--config", str(floor)]) == 0
+        alone = capsys.readouterr()
+
+        def untimed(text):
+            header, rows = _rows(text)
+            t = header.index("cpuSeconds")
+            return header, [r[:t] + r[t + 1:] for r in rows]
+
+        assert untimed(reused.out) == untimed(alone.out)
+        assert json.loads(reused.err)["config"] == json.loads(alone.err)["config"]
 
 
 class TestRunApi:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from relot import (
@@ -20,7 +21,51 @@ from relot import (
     solve_unconstrained,
 )
 
+from relot import gridsearch
+from relot.gridsearch import _BLOCK_CELLS, _scan_min
+
 from conftest import LAMBDAS, SUSTAIN, floor_params, unconstrained_params
+
+
+def _row_scan(cm, qp_axis, qr_axis, constrained):
+    """Reference scan: one Qp row per iteration, the first hit of each
+    row's argmin, rows compared as (f1, Qp, Qr) tuples."""
+    best = None
+    for qp in qp_axis:
+        qr = qr_axis
+        if constrained:
+            if cm.supply_slack(qp) < 0.0:
+                continue
+            mask = cm.repair_slack(qp, qr) >= 0.0
+            if not mask.any():
+                continue
+            qr = qr[mask]
+        values = cm.average_cost(qp, qr)
+        pos = int(np.argmin(values))
+        cand = (float(values[pos]), float(qp), float(qr[pos]))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _lattice(lo, step, n):
+    return lo + step * np.arange(n)
+
+
+class _StubCost:
+    """The floors of a real model with a stand-in f1, to force exact ties."""
+
+    def __init__(self, cm, f1):
+        self.cm, self.f1 = cm, f1
+
+    def supply_slack(self, qp):
+        return self.cm.supply_slack(qp)
+
+    def repair_slack(self, qp, qr):
+        return self.cm.repair_slack(qp, qr)
+
+    def average_cost(self, qp, qr):
+        return self.f1(*np.broadcast_arrays(qp, qr))
 
 
 def _oracle_filter(triples):
@@ -123,6 +168,97 @@ class TestGridMin:
             assert val == pytest.approx(best[0], rel=1e-12)
             assert dec.Qp == pytest.approx(best[1], rel=1e-12)
             assert dec.Qr == pytest.approx(best[2], rel=1e-12)
+
+
+class TestBlockedScan:
+    """The blocked scan equals the per-row reference exactly: the same
+    cell, the same float, and on constrained lattices the same cells
+    evaluated."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_rows_longer_than_a_block(self, constrained):
+        cm = CostModel(floor_params(60.0))
+        qr_axis = _lattice(0.5, 0.004, _BLOCK_CELLS + 1001)
+        assert _BLOCK_CELLS // qr_axis.size == 0  # one row per block
+        qp_axis = _lattice(37.0, 0.7, 7)  # the last rows break the supply floor
+        got = _scan_min(cm, qp_axis, qr_axis, constrained)
+        assert got == _row_scan(cm, qp_axis, qr_axis, constrained)
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_many_rows_per_block_with_ragged_last_block(self, lam, constrained):
+        cm = CostModel(floor_params(lam))
+        qr_axis = _lattice(1.0, 0.5, 159)
+        qp_axis = _lattice(1.0, 0.1, 591)
+        rows = _BLOCK_CELLS // qr_axis.size
+        assert rows > 100 and qp_axis.size % rows
+        got = _scan_min(cm, qp_axis, qr_axis, constrained)
+        assert got == _row_scan(cm, qp_axis, qr_axis, constrained)
+
+    def test_supply_cap_inside_a_block_and_empty_blocks(self):
+        """k1/p1 = 40 cuts the fourth block of 103 rows; the two blocks after
+        it have no feasible cell, and the repair floor cuts every row."""
+        cm = CostModel(floor_params(60.0))
+        qr_axis = _lattice(1.0, 0.5, 159)
+        qp_axis = _lattice(1.0, 0.1, 591)
+        rows = _BLOCK_CELLS // qr_axis.size
+        supply_ok = cm.supply_slack(qp_axis) >= 0.0
+        assert 3 * rows < np.argmin(supply_ok) < 4 * rows
+        assert not (cm.repair_slack(qp_axis[:, None], qr_axis) >= 0.0).all(axis=1).any()
+        got = _scan_min(cm, qp_axis, qr_axis, True)
+        assert got == _row_scan(cm, qp_axis, qr_axis, True)
+        assert got[1] < 40.0
+
+    def test_no_feasible_block(self):
+        cm = CostModel(floor_params(60.0))
+        qp_axis = _lattice(40.5, 0.1, 300)
+        assert _scan_min(cm, qp_axis, _lattice(1.0, 0.5, 159), True) is None
+
+    @pytest.mark.parametrize("f1", [
+        lambda qp, qr: np.zeros(qp.shape),
+        lambda qp, qr: np.full(qp.shape, np.inf),
+        lambda qp, qr: np.floor(np.abs(qr - 30.0) / 5.0),
+        lambda qp, qr: np.floor(np.abs(qp - 20.0) / 3.0) + np.floor(np.abs(qr - 30.0) / 5.0),
+    ], ids=["constant", "infinite", "ties-across-rows", "ties-in-both-axes"])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_exact_ties(self, f1, constrained):
+        """Plateaus of equal f1 within rows and across blocks: the smallest
+        Qp wins, then the smallest Qr; an infinite minimum keeps the first
+        feasible cell."""
+        cm = _StubCost(CostModel(floor_params(60.0)), f1)
+        qr_axis = _lattice(1.0, 0.5, 159)
+        qp_axis = _lattice(1.0, 0.1, 591)
+        got = _scan_min(cm, qp_axis, qr_axis, constrained)
+        assert got == _row_scan(cm, qp_axis, qr_axis, constrained)
+
+    def test_constrained_scan_evaluates_the_same_cells(self, monkeypatch):
+        cm = CostModel(floor_params(75.0))
+        qr_axis = _lattice(1.0, 0.5, 159)
+        qp_axis = _lattice(1.0, 0.1, 591)
+        evaluated = []
+        average_cost = CostModel.average_cost
+
+        def counted(self, qp, qr):
+            values = average_cost(self, qp, qr)
+            evaluated.append(np.size(values))
+            return values
+
+        monkeypatch.setattr(CostModel, "average_cost", counted)
+        _scan_min(cm, qp_axis, qr_axis, True)
+        blocked = sum(evaluated)
+        evaluated.clear()
+        _row_scan(cm, qp_axis, qr_axis, True)
+        assert blocked == sum(evaluated)
+        assert 0 < blocked < qp_axis.size * qr_axis.size
+
+    @pytest.mark.parametrize("lam", LAMBDAS)
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_grid_min_equals_row_scan(self, monkeypatch, lam, constrained):
+        """Both stages, through grid_min, on the default lattices."""
+        p = floor_params(lam)
+        got = grid_min(p, default_grid(p), constrained)
+        monkeypatch.setattr(gridsearch, "_scan_min", _row_scan)
+        assert got == grid_min(p, default_grid(p), constrained)
 
 
 class TestGridFront:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from relot import (
@@ -129,6 +130,27 @@ class TestDominanceFilter:
     def test_empty_and_single_point(self):
         assert dominance_filter([]) == []
         assert dominance_filter([(1.0, 2.0, 3.0)]) == [0]
+
+    @pytest.mark.parametrize("shape", ["uniform", "lattice", "plane"])
+    def test_array_input_matches_list_input(self, shape):
+        rng = random.Random(11)
+        if shape == "uniform":
+            triples = [(rng.random(), rng.random(), rng.random()) for _ in range(1500)]
+        elif shape == "lattice":
+            triples = [(rng.randrange(6) / 2.0, rng.randrange(6) / 2.0, rng.randrange(6) / 2.0)
+                       for _ in range(1500)]
+        else:
+            triples = []
+            for _ in range(1500):
+                a = rng.randrange(1025)
+                b = rng.randrange(1025 - a)
+                triples.append((a / 1024, b / 1024, (1024 - a - b) / 1024))
+        assert dominance_filter(np.array(triples)) == dominance_filter(triples)
+
+    @pytest.mark.parametrize("arr", [np.ones((4, 2)), np.ones(3), np.ones((2, 3, 1))])
+    def test_array_of_wrong_shape_rejected(self, arr):
+        with pytest.raises(DomainError):
+            dominance_filter(arr)
 
 
 class TestDecisionBox:
