@@ -7,11 +7,12 @@ files for plotting), ``pareto`` (three-objective front) and ``oracle``
 RunConfig; tables go to --out or stdout, machine-readable diagnostics
 (config echo, timings, integer cycle counts) to stderr.
 
-Exit codes: 0 success, 2 configuration/domain errors, 3 infeasible model.
+Exit codes: 0 success, 2 configuration/domain errors and rejected argv,
+3 infeasible model; every failure prints one JSON error line on stderr.
 Table numbers are CSV-formatted with 6 significant digits; the json
-format keeps full precision.  The cpuSeconds column (process CPU time)
-varies run to run and is meant to be dropped before golden-file
-comparison.
+format is one compact line at full precision.  The cpuSeconds column
+(process CPU time) varies run to run and is meant to be dropped before
+golden-file comparison.
 """
 
 from __future__ import annotations
@@ -171,6 +172,8 @@ class RunConfig:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:
+        return "%.6g" % value
     if isinstance(value, str):
         return value
     if isinstance(value, int):
@@ -180,9 +183,10 @@ def _format_cell(value) -> str:
 
 def _render(columns, rows, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"columns": list(columns), "rows": [list(r) for r in rows]}, indent=2)
+        # compact, so json.dumps takes its C encoder (indent forces the Python one)
+        return json.dumps({"columns": list(columns), "rows": [list(r) for r in rows]})
     lines = [",".join(columns)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    lines.extend(",".join([_format_cell(v) for v in row]) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -204,10 +208,8 @@ def _sweep_params(config: RunConfig) -> list[ModelParams]:
     if config.sweep_var is None or config.sweep_range is None:
         return [config.params]
     field = "lam" if config.sweep_var == "lambda" else "Dr"
-    return [
-        dataclasses.replace(config.params, **{field: value})
-        for value in config.sweep_range.values()
-    ]
+    base = {f.name: getattr(config.params, f.name) for f in dataclasses.fields(ModelParams)}
+    return [ModelParams(**{**base, field: value}) for value in config.sweep_range.values()]
 
 
 # -- commands --------------------------------------------------------------------
@@ -374,9 +376,18 @@ def run_pareto(config: RunConfig) -> dict:
     return run(_retarget(config, "pareto"))
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Rejects a bad argv the way main rejects a bad config: one JSON error
+    line on stderr and exit code 2.  Subparsers inherit the class."""
+
+    def error(self, message: str):
+        print(json.dumps({"error": f"{self.prog}: {message}"}), file=sys.stderr)
+        sys.exit(2)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="relot",
         description="Reverse-logistics batch-size optimization toolkit",
     )

@@ -10,9 +10,9 @@ feasible cells of the three-objective model on a single-stage lattice.
 ``grid_min`` evaluates blocks of whole Qp rows, vectorized over the
 block: at most 2^14 cells, or one row when a row is longer.  Its memory
 stays bounded by the larger of the two even on 1e8-cell lattices.
-``grid_front`` masks the whole lattice at once (the cell guard caps its
-size) and materializes every feasible cell, so it is meant for coarse
-lattices.  Neither scan uses the model's separable structure: every cell
+``grid_front`` masks the whole lattice at once and materializes every
+feasible cell, so it is meant for coarse lattices and rejects more than
+1e6 cells.  Neither scan uses the model's separable structure: every cell
 is evaluated.
 """
 
@@ -42,6 +42,8 @@ WINDOW_STEPS = 2.5
 _MAX_CELLS = 1e8
 # grid_min evaluates whole Qp rows in blocks of at most this many cells.
 _BLOCK_CELLS = 1 << 14
+# grid_front materializes its whole lattice and culls it in Python.
+_MAX_FRONT_CELLS = 1e6
 
 
 class EmptyFeasibleGridError(RuntimeError):
@@ -178,10 +180,16 @@ def grid_front(
 
     Feasibility means both floor constraints and production factor
     M >= EPS_M, matching the three-objective model's constraint set.
+    A lattice of more than 1e6 cells is a ParameterError.
     """
     if not params.has_sustainability:
         raise ParameterError(
             "the three-objective front needs the emissions and energy coefficients"
+        )
+    if grid.cells > _MAX_FRONT_CELLS:
+        raise ParameterError(
+            f"grid_front lattice holds {grid.cells:.3g} cells, above the "
+            f"{_MAX_FRONT_CELLS:.0e} guard"
         )
     cm = CostModel(params)
     qp, qr = np.meshgrid(grid.qp_axis(), grid.qr_axis(), indexing="ij")

@@ -115,16 +115,23 @@ class ModelParams:
     Kr: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("Dp", "Dr", "lam", "Ap", "Ar", "h1", "h2", "p1", "p2"):
-            _positive(name, getattr(self, name))
-        for name in ("p", "r"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ParameterError(f"{name} must lie in (0, 1), got {v!r}")
-        for name in ("k1", "k2"):
-            v = getattr(self, name)
-            if not (v > 0.0):
-                raise ParameterError(f"{name} must be positive (or +inf), got {v!r}")
+        _positive("Dp", self.Dp)
+        _positive("Dr", self.Dr)
+        _positive("lam", self.lam)
+        _positive("Ap", self.Ap)
+        _positive("Ar", self.Ar)
+        _positive("h1", self.h1)
+        _positive("h2", self.h2)
+        _positive("p1", self.p1)
+        _positive("p2", self.p2)
+        if not (0.0 < self.p < 1.0):
+            raise ParameterError(f"p must lie in (0, 1), got {self.p!r}")
+        if not (0.0 < self.r < 1.0):
+            raise ParameterError(f"r must lie in (0, 1), got {self.r!r}")
+        if not (self.k1 > 0.0):
+            raise ParameterError(f"k1 must be positive (or +inf), got {self.k1!r}")
+        if not (self.k2 > 0.0):
+            raise ParameterError(f"k2 must be positive (or +inf), got {self.k2!r}")
         inflow = self.r * self.p * self.Dp
         if not (self.lam > inflow):
             raise ParameterError(
@@ -140,13 +147,20 @@ class ModelParams:
             raise ParameterError(
                 f"repair rate lam={self.lam!r} must exceed Dr={self.Dr!r}"
             )
-        for group in (_EMISSION_KEYS, _ENERGY_KEYS):
-            given = [k for k in group if getattr(self, k) is not None]
+        if (
+            self.ap is None and self.bp is None and self.cp is None and self.Wp is None
+            and self.Wr is None and self.Kp is None and self.Kr is None
+        ):
+            return
+        for group, values in (
+            (_EMISSION_KEYS, (self.ap, self.bp, self.cp)),
+            (_ENERGY_KEYS, (self.Wp, self.Wr, self.Kp, self.Kr)),
+        ):
+            given = [(k, v) for k, v in zip(group, values) if v is not None]
             if given and len(given) != len(group):
-                missing = sorted(set(group) - set(given))
+                missing = sorted(set(group) - {k for k, _ in given})
                 raise ParameterError(f"incomplete coefficient group: missing {missing}")
-            for k in given:
-                v = getattr(self, k)
+            for k, v in given:
                 if not (0.0 <= v < math.inf):
                     raise ParameterError(f"{k} must be finite and >= 0, got {v!r}")
 
@@ -287,21 +301,25 @@ class FeasibilityReport:
         return ok
 
 
-def derive_constants(params: ModelParams) -> DerivedConstants:
-    """Compute C1, C2, C3 for a parameter set.
-
-    C1 = 1 - r*p*Dp/lam, C2 = r*p / (C1*(1 - r*p*Dp/Dr)),
-    C3 = (1 + C2) / (Dp + Dr).
-    """
-    inflow = params.return_inflow
+def _cycle_constants(params: ModelParams) -> tuple[float, float, float]:
+    """(C1, C2, C3) of derive_constants, without building the dataclass."""
+    inflow = params.r * params.p * params.Dp
     if not (params.lam > inflow):
         raise DomainError("repair rate must exceed the return inflow r*p*Dp")
     if not (params.Dr > inflow):
         raise DomainError("secondary demand must exceed the return inflow r*p*Dp")
     C1 = 1.0 - inflow / params.lam
     C2 = params.r * params.p / (C1 * (1.0 - inflow / params.Dr))
-    C3 = (1.0 + C2) / (params.Dp + params.Dr)
-    return DerivedConstants(C1=C1, C2=C2, C3=C3)
+    return C1, C2, (1.0 + C2) / (params.Dp + params.Dr)
+
+
+def derive_constants(params: ModelParams) -> DerivedConstants:
+    """Compute C1, C2, C3 for a parameter set.
+
+    C1 = 1 - r*p*Dp/lam, C2 = r*p / (C1*(1 - r*p*Dp/Dr)),
+    C3 = (1 + C2) / (Dp + Dr).
+    """
+    return DerivedConstants(*_cycle_constants(params))
 
 
 class CostModel:
@@ -338,36 +356,37 @@ class CostModel:
     """
 
     __slots__ = (
-        "params", "constants", "C1", "C2", "C3", "alpha", "beta", "gamma",
-        "delta", "_inflow", "_rp", "_inv2Dp", "_invDp", "_cross", "_c_lam",
-        "_c_rep", "_c_e2", "_c_T1", "_c_m",
+        "params", "C1", "C2", "C3", "alpha", "beta", "gamma", "delta",
+        "_inflow", "_rp", "_inv2Dp", "_invDp", "_cross", "_c_lam", "_c_rep",
+        "_c_e2", "_c_T1", "_c_m",
     )
 
     def __init__(self, params: ModelParams):
         self.params = params
-        dc = derive_constants(params)
-        self.constants = dc
-        self.C1, self.C2, self.C3 = dc.C1, dc.C2, dc.C3
-        self._inflow = params.return_inflow           # r*p*Dp
-        self._rp = params.r * params.p
-        self._inv2Dp = 0.5 / params.Dp
-        self._invDp = 1.0 / params.Dp
-        self._c_T1 = self.C1 / params.Dr              # T1 = c_T1 * Qr
-        self._c_rep = 1.0 / params.lam + self._c_T1   # repair-cycle span per unit
-        self._cross = 0.5 * self.C1 * self.C2 * self._c_rep
-        self._c_lam = self.C1 * self.C2 / (2.0 * params.lam)
-        self._c_e2 = self._c_rep * self.C1 * (1.0 - self._inflow / params.Dr)
-        self._c_m = 2.0 * params.Ap * params.Dp / params.h1
+        self.C1, self.C2, self.C3 = C1, C2, C3 = _cycle_constants(params)
+        Dp, Dr, lam = params.Dp, params.Dr, params.lam
+        self._inflow = inflow = params.r * params.p * Dp
+        self._rp = rp = params.r * params.p
+        self._inv2Dp = inv2Dp = 0.5 / Dp
+        self._invDp = 1.0 / Dp
+        self._c_T1 = c_T1 = C1 / Dr                   # T1 = c_T1 * Qr
+        self._c_rep = c_rep = 1.0 / lam + c_T1        # repair-cycle span per unit
+        self._cross = cross = 0.5 * C1 * C2 * c_rep
+        self._c_lam = c_lam = C1 * C2 / (2.0 * lam)
+        self._c_e2 = c_rep * C1 * (1.0 - inflow / Dr)
+        self._c_m = 2.0 * params.Ap * Dp / params.h1
         cross_repair = (  # X of the class docstring
-            self._rp * self._c_T1
-            + self._c_lam
-            + 0.5 * self._inflow * self.C2 * self._c_T1 * self._c_T1
-            + self._rp * self._c_rep
+            rp * c_T1 + c_lam + 0.5 * inflow * C2 * c_T1 * c_T1 + rp * c_rep
         )
-        self.alpha = params.Ap / self.C3
-        self.beta = (params.h1 + params.h2 * self._rp) * self._inv2Dp / self.C3
-        self.gamma = params.Ar * self.C2 / self.C3
-        self.delta = (params.h1 * self._cross + params.h2 * cross_repair) / self.C3
+        self.alpha = params.Ap / C3
+        self.beta = (params.h1 + params.h2 * rp) * inv2Dp / C3
+        self.gamma = params.Ar * C2 / C3
+        self.delta = (params.h1 * cross + params.h2 * cross_repair) / C3
+
+    @property
+    def constants(self) -> DerivedConstants:
+        """C1, C2, C3 as a DerivedConstants, equal to derive_constants(params)."""
+        return DerivedConstants(self.C1, self.C2, self.C3)
 
     # -- cycle geometry -------------------------------------------------
 

@@ -3,10 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from relot import ModelParams, ParameterError, RunConfig, SweepRange
-from relot.cli import MAX_GRID_SUBDIVISIONS, MAX_SWEEP_ROWS, _parser, main, run
+from relot.cli import MAX_GRID_SUBDIVISIONS, MAX_SWEEP_ROWS, _parser, _render, main, run
 
 from conftest import SUSTAIN, UNCON_BASE
 
@@ -393,6 +394,71 @@ class TestParserReuse:
 
         assert untimed(reused.out) == untimed(alone.out)
         assert json.loads(reused.err)["config"] == json.loads(alone.err)["config"]
+
+
+class TestArgvErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve-constrained", "--config", "cfg.json", "--format", "xml"],
+        [],
+    ], ids=["bad-format", "no-subcommand"])
+    def test_rejected_argv_prints_one_json_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        _write_config(tmp_path, "cfg.json", params=FLOOR_PARAMS,
+                      command="solve-constrained")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error"}
+
+    def test_help_is_plain_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: relot solve")
+        assert captured.err == ""
+
+
+def _reference_cell(value) -> str:
+    """The per-cell CSV formatter the fast path must reproduce."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".6g")
+
+
+RENDER_CELLS = [
+    1.0, 30.83132079891037, 74.61016271413838, 1e-300, -1e-300, 5e-324, 1e300,
+    123456.5, 1234567.0, 0.000123456789, -0.0, 0.0, math.inf, -math.inf, math.nan,
+    np.float64(30.83132079891037), np.float64(-0.0), np.float64(math.inf),
+    np.float64(math.nan), np.float64(1e-300), 0, 72, -3, True, "III", "efficient",
+]
+
+
+class TestRenderIdentity:
+    def test_csv_bytes_equal_the_per_cell_formatter(self):
+        columns = [f"c{i}" for i in range(len(RENDER_CELLS))]
+        rows = [RENDER_CELLS, RENDER_CELLS[::-1], [-v if isinstance(v, float) else v
+                                                   for v in RENDER_CELLS]]
+        want = "\n".join([",".join(columns)]
+                         + [",".join(_reference_cell(v) for v in row) for row in rows]) + "\n"
+        assert _render(columns, rows, "csv").encode() == want.encode()
+
+    def test_json_parses_to_the_indented_document(self):
+        """Parsed values are identical, compared through their repr so that
+        -0.0 and nan count too."""
+        columns = [f"c{i}" for i in range(len(RENDER_CELLS))]
+        rows = [list(RENDER_CELLS)]
+        doc = {"columns": columns, "rows": rows}
+        text = _render(columns, rows, "json")
+        assert "\n" not in text
+        canonical = lambda t: json.dumps(json.loads(t))
+        assert canonical(text) == canonical(json.dumps(doc, indent=2))
 
 
 class TestRunApi:

@@ -22,7 +22,7 @@ from relot import (
 )
 
 from relot import gridsearch
-from relot.gridsearch import _BLOCK_CELLS, _scan_min
+from relot.gridsearch import _BLOCK_CELLS, _MAX_FRONT_CELLS, _scan_min
 
 from conftest import LAMBDAS, SUSTAIN, floor_params, unconstrained_params
 
@@ -328,3 +328,14 @@ class TestGridFront:
         p = ModelParams(**SUSTAIN)
         with pytest.raises(EmptyFeasibleGridError):
             grid_front(p, GridSpec((1.0, 60.0), (1.0, 60.0), 5.0))
+
+    def test_oversized_lattice_rejected_before_it_is_built(self, monkeypatch):
+        def no_meshgrid(*args, **kwargs):
+            raise AssertionError("the lattice was built")
+
+        p = ModelParams(**SUSTAIN)
+        spec = GridSpec((1.0, 2000.0), (1.0, 1000.0), 1.0)
+        assert spec.cells == 2e6 > _MAX_FRONT_CELLS
+        monkeypatch.setattr(np, "meshgrid", no_meshgrid)
+        with pytest.raises(ParameterError, match="grid_front lattice holds 2e\\+06 cells"):
+            grid_front(p, spec)

@@ -85,6 +85,75 @@ class TestValidation:
         assert p.has_emissions
 
 
+_COEFFS = dict(ap=3e-8, bp=1.4e-3, cp=1.4, Wp=120.0, Wr=80.0, Kp=5.5, Kr=2.5)
+
+
+class TestRejectionMessages:
+    """Every rejection of ModelParams, with the message it gives today.  The
+    multi-fault rows pin the order of the checks."""
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"Dp": 0.0}, "Dp must be positive and finite, got 0.0"),
+        ({"Dr": -1.0}, "Dr must be positive and finite, got -1.0"),
+        ({"lam": math.inf}, "lam must be positive and finite, got inf"),
+        ({"Ap": math.nan}, "Ap must be positive and finite, got nan"),
+        ({"Ar": 0.0}, "Ar must be positive and finite, got 0.0"),
+        ({"h1": -0.5}, "h1 must be positive and finite, got -0.5"),
+        ({"h2": math.inf}, "h2 must be positive and finite, got inf"),
+        ({"p1": 0.0}, "p1 must be positive and finite, got 0.0"),
+        ({"p2": math.nan}, "p2 must be positive and finite, got nan"),
+        ({"p": 0.0}, "p must lie in (0, 1), got 0.0"),
+        ({"p": 1.0}, "p must lie in (0, 1), got 1.0"),
+        ({"r": math.nan}, "r must lie in (0, 1), got nan"),
+        ({"r": 1.5}, "r must lie in (0, 1), got 1.5"),
+        ({"k1": 0.0}, "k1 must be positive (or +inf), got 0.0"),
+        ({"k2": -3.0}, "k2 must be positive (or +inf), got -3.0"),
+        ({"k1": -math.inf}, "k1 must be positive (or +inf), got -inf"),
+        ({"k2": math.nan}, "k2 must be positive (or +inf), got nan"),
+        ({"lam": 42.0},
+         "repair rate lam=42.0 must exceed the return inflow r*p*Dp=42.0"),
+        ({"Dr": 42.0, "lam": 60.0},
+         "secondary demand Dr=42.0 must exceed the return inflow r*p*Dp=42.0"),
+        ({"lam": 43.0}, "repair rate lam=43.0 must exceed Dr=43.0"),
+        ({"ap": 1e-8}, "incomplete coefficient group: missing ['bp', 'cp']"),
+        ({"Wp": 5.0, "Kr": 1.0}, "incomplete coefficient group: missing ['Kp', 'Wr']"),
+        ({**_COEFFS, "cp": None}, "incomplete coefficient group: missing ['cp']"),
+        ({**_COEFFS, "ap": -1e-9}, "ap must be finite and >= 0, got -1e-09"),
+        ({**_COEFFS, "bp": math.inf}, "bp must be finite and >= 0, got inf"),
+        ({**_COEFFS, "Wr": math.nan}, "Wr must be finite and >= 0, got nan"),
+        ({**_COEFFS, "Kr": -0.1}, "Kr must be finite and >= 0, got -0.1"),
+        ({"Dp": 0.0, "p": 2.0}, "Dp must be positive and finite, got 0.0"),
+        ({"p": 2.0, "k1": 0.0}, "p must lie in (0, 1), got 2.0"),
+        ({"k1": 0.0, "lam": 42.0}, "k1 must be positive (or +inf), got 0.0"),
+        ({"lam": 43.0, "ap": 1.0}, "repair rate lam=43.0 must exceed Dr=43.0"),
+        ({**_COEFFS, "cp": None, "Wp": None}, "incomplete coefficient group: missing ['cp']"),
+        ({**_COEFFS, "ap": -1.0, "Wp": None}, "ap must be finite and >= 0, got -1.0"),
+    ])
+    def test_message(self, overrides, message):
+        with pytest.raises(ParameterError) as exc:
+            ModelParams(**{**UNCON_BASE, "lam": 45.0, **overrides})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field,missing", [
+        ("ap", "['bp', 'cp']"), ("bp", "['ap', 'cp']"), ("cp", "['ap', 'bp']"),
+        ("Wp", "['Kp', 'Kr', 'Wr']"), ("Wr", "['Kp', 'Kr', 'Wp']"),
+        ("Kp", "['Kr', 'Wp', 'Wr']"), ("Kr", "['Kp', 'Wp', 'Wr']"),
+    ])
+    def test_one_coefficient_alone(self, field, missing):
+        with pytest.raises(ParameterError) as exc:
+            ModelParams(**UNCON_BASE, lam=45.0, **{field: 0.0})
+        assert str(exc.value) == f"incomplete coefficient group: missing {missing}"
+
+    def test_scalar_checks_run_in_field_order(self):
+        faults = [("Dp", 0.0), ("Dr", 0.0), ("lam", 0.0), ("Ap", 0.0), ("Ar", 0.0),
+                  ("h1", 0.0), ("h2", 0.0), ("p1", 0.0), ("p2", 0.0), ("p", 2.0),
+                  ("r", 2.0), ("k1", 0.0), ("k2", 0.0)]
+        for i, (name, _) in enumerate(faults):
+            with pytest.raises(ParameterError) as exc:
+                ModelParams(**{**UNCON_BASE, "lam": 45.0, **dict(faults[i:])})
+            assert str(exc.value).startswith(f"{name} must ")
+
+
 class TestSerialization:
     def test_lambda_key_alias(self):
         p = ModelParams.from_mapping({**UNCON_BASE, "lambda": 45.0})
@@ -131,6 +200,56 @@ class TestDerivedConstants:
         dc = derive_constants(ModelParams(**SUSTAIN))
         assert dc.C1 == pytest.approx(1.0 / 15.0, rel=1e-12)
         assert dc.C2 == pytest.approx(1329.3, rel=1e-12)
+
+
+def _reference_coefficients(params: ModelParams) -> dict[str, float]:
+    """Every float CostModel precomputes, by the formulas of derive_constants
+    and the area decomposition, in their original evaluation order."""
+    inflow = params.r * params.p * params.Dp
+    C1 = 1.0 - inflow / params.lam
+    C2 = params.r * params.p / (C1 * (1.0 - inflow / params.Dr))
+    C3 = (1.0 + C2) / (params.Dp + params.Dr)
+    rp = params.r * params.p
+    inv2Dp = 0.5 / params.Dp
+    c_T1 = C1 / params.Dr
+    c_rep = 1.0 / params.lam + c_T1
+    cross = 0.5 * C1 * C2 * c_rep
+    c_lam = C1 * C2 / (2.0 * params.lam)
+    cross_repair = rp * c_T1 + c_lam + 0.5 * inflow * C2 * c_T1 * c_T1 + rp * c_rep
+    return dict(
+        C1=C1, C2=C2, C3=C3, _inflow=inflow, _rp=rp, _inv2Dp=inv2Dp,
+        _invDp=1.0 / params.Dp, _c_T1=c_T1, _c_rep=c_rep, _cross=cross,
+        _c_lam=c_lam, _c_e2=c_rep * C1 * (1.0 - inflow / params.Dr),
+        _c_m=2.0 * params.Ap * params.Dp / params.h1,
+        alpha=params.Ap / C3,
+        beta=(params.h1 + params.h2 * rp) * inv2Dp / C3,
+        gamma=params.Ar * C2 / C3,
+        delta=(params.h1 * cross + params.h2 * cross_repair) / C3,
+    )
+
+
+def assert_coefficients_bit_identical(params: ModelParams) -> None:
+    cm = CostModel(params)
+    want = _reference_coefficients(params)
+    assert set(want) == set(CostModel.__slots__) - {"params"}
+    assert {k: float.hex(getattr(cm, k)) for k in want} == {
+        k: float.hex(v) for k, v in want.items()
+    }
+    dc = derive_constants(params)
+    assert cm.constants == dc
+    assert [float.hex(v) for v in (dc.C1, dc.C2, dc.C3)] == [
+        float.hex(want[k]) for k in ("C1", "C2", "C3")
+    ]
+
+
+class TestCoefficientIdentity:
+    @pytest.mark.parametrize("make", [unconstrained_params, floor_params])
+    @pytest.mark.parametrize("lam", [44.5, 45.0, 60.0, 75.0, 90.0, 105.0])
+    def test_paper_economics(self, make, lam):
+        assert_coefficients_bit_identical(make(lam))
+
+    def test_sustainability_instance(self):
+        assert_coefficients_bit_identical(ModelParams(**SUSTAIN))
 
 
 class TestCostBreakdown:

@@ -29,6 +29,7 @@ from relot import (
 from relot.cli import main
 
 from test_cli import EX1_PARAMS, FLOOR_PARAMS
+from test_model import assert_coefficients_bit_identical
 from test_pareto import _oracle_filter
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -69,6 +70,12 @@ def test_four_coefficients_match_the_area_decomposition(params, qp, qr):
     cm = CostModel(params)
     ref = cm.breakdown(qp, qr).f1
     assert math.isclose(cm.average_cost(qp, qr), ref, rel_tol=1e-10)
+
+
+@SETTINGS
+@given(models(floors=True))
+def test_cost_model_coefficients_are_bit_identical(params):
+    assert_coefficients_bit_identical(params)
 
 
 @SETTINGS
