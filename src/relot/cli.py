@@ -312,8 +312,11 @@ def _run_pareto(config: RunConfig) -> dict:
         "rows": len(rows),
         "gridCount": d.grid_count,
         "solved": d.solved,
+        "exact": d.exact,
         "skippedInfeasible": d.skipped_infeasible,
         "shifts": list(d.shifts),
+        "individualMinima": [[dec.Qp, dec.Qr] for dec in d.individual_minima],
+        "individualValues": list(d.individual_values),
         "recorded": d.recorded,
         "deduplicated": d.deduplicated,
         "frontSize": d.front_size,

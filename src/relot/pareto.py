@@ -22,13 +22,16 @@ line the three individual minima are exact:
 The admissible Qp range is the search box's, cut where repair_cap(Qp)
 falls to the box's lower Qr.  A constant f2 also takes the f1 minimizer.
 
-Per weight, each of the three subproblems is still solved numerically,
-anchored at the best candidate (the three individual minimizers plus the
-box center, ranked by weighted-max merit) that gives the subproblem a
-provably non-empty region; its output takes the f1-best repair batch at
-its Qp.  Coincident triples are recorded as efficient, otherwise the
-non-dominated members of the triple as weak-efficient; a final global
-dominance filter produces the front.
+Per weight, each of the three subproblems is anchored at the best
+candidate (the three individual minimizers plus the box center, ranked by
+weighted-max merit) that gives it a provably non-empty region.  Subproblem
+k is answered exactly by x_k*, the individual minimizer of f_k, whenever
+x_k* meets the anchored levels of the other two objectives: x_k*
+minimizes f_k over the whole region, so it is then an optimum.  Only the
+remaining subproblems are searched numerically, and a search's output
+takes the f1-best repair batch at its Qp.  Coincident triples are recorded
+as efficient, otherwise the non-dominated members of the triple as
+weak-efficient; a final global dominance filter produces the front.
 
 When any objective is non-positive at its individual minimum, all three
 objectives are shifted by s_i = max(0, -min f_i) + 1 inside the
@@ -138,8 +141,17 @@ class ParetoPoint:
 
 @dataclass(frozen=True)
 class FrontDiagnostics:
+    """Counts and anchors of one front.
+
+    ``solved`` counts the subproblems searched numerically; ``exact``
+    counts those answered by their objective's individual minimizer
+    without a search; ``skipped_infeasible`` counts those left without a
+    point because every anchor's region is provably empty.
+    """
+
     grid_count: int
     solved: int
+    exact: int
     skipped_infeasible: int
     shifts: tuple[float, float, float]
     individual_minima: tuple[BatchDecision, BatchDecision, BatchDecision]
@@ -397,11 +409,13 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
 
     The individual minima are exact (see the module docstring).  Per
     weight, each scalarized subproblem is anchored at the best-merit
-    feasible candidate that gives it a non-empty region and solved
-    numerically; its output takes the f1-best repair batch at its Qp.  The
-    triple is classified (coincident -> efficient, otherwise its
-    non-dominated members -> weak-efficient), then the union of all
-    recorded points is filtered.
+    feasible candidate that gives it a non-empty region.  Subproblem k
+    takes x_k* itself when x_k* meets the anchored levels of the other two
+    objectives (counted in ``exact``); otherwise it is searched
+    numerically (counted in ``solved``) and its output takes the f1-best
+    repair batch at its Qp.  The triple is classified (coincident ->
+    efficient, otherwise its non-dominated members -> weak-efficient),
+    then the union of all recorded points is filtered.
     """
     if not params.has_sustainability:
         raise ParameterError(
@@ -463,7 +477,7 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
 
     grid = weight_grid(m)
     seeds_base = [d.as_tuple() for d in minima]
-    solved = skipped = 0
+    solved = exact = skipped = 0
     records: list[tuple[int, int, BatchDecision, tuple[float, float, float], str]] = []
     for gi, w in enumerate(grid):
         wt = w.as_tuple()
@@ -477,9 +491,17 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
         )
         finals: dict[int, BatchDecision] = {}
         for k in (1, 2, 3):
+            # x_k* minimizes f_k over the whole region, so it is an optimum
+            # of subproblem k whenever the anchored level admits it.
+            at_min = triple(minima[k - 1])
+            needed = max(wt[i] * (at_min[i] + shifts[i]) for i in range(3) if i != k - 1)
             # Anchor at the best candidate whose subproblem is not provably
             # empty; later candidates give laxer levels.
             for anchor_dec in by_merit:
+                if needed <= wt[k - 1] * (triple(anchor_dec)[k - 1] + shifts[k - 1]):
+                    exact += 1
+                    finals[k] = minima[k - 1]
+                    break
                 sub = scalar_subproblem(
                     params,
                     w,
@@ -543,6 +565,7 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
     diagnostics = FrontDiagnostics(
         grid_count=len(grid),
         solved=solved,
+        exact=exact,
         skipped_infeasible=skipped,
         shifts=shifts,
         individual_minima=minima,

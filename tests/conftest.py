@@ -21,6 +21,10 @@ SUSTAIN = dict(
     ap=3e-8, bp=1.4e-3, cp=1.4, Wp=120.0, Wr=80.0, Kp=5.5, Kr=2.5,
 )
 
+# SUSTAIN with a binding repair floor: the f1-best repair batch is capped at
+# about 150 (204.6 unconstrained) across the front's Qp interval.
+SUSTAIN_BINDING = dict(SUSTAIN, k2=40.0)
+
 LAMBDAS = (45.0, 60.0, 75.0, 90.0, 105.0)
 
 

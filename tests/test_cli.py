@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relot import ModelParams, ParameterError, RunConfig, SweepRange
+import relot
+from relot import CostModel, ModelParams, ParameterError, RunConfig, SweepRange
 from relot.cli import MAX_GRID_SUBDIVISIONS, MAX_SWEEP_ROWS, _parser, _render, main, run
 
-from conftest import SUSTAIN, UNCON_BASE
+from conftest import SUSTAIN, SUSTAIN_BINDING, UNCON_BASE
 
 EX1_PARAMS = {**UNCON_BASE, "lambda": 45.0}
 FLOOR_PARAMS = {**UNCON_BASE, "lambda": 60.0, "p1": 0.5, "p2": 0.5,
@@ -338,6 +343,24 @@ class TestParetoCommand:
         assert len(lines) == 1
         assert "gridSubdivisions" in json.loads(lines[0])["error"]
 
+    @pytest.mark.parametrize("instance", [SUSTAIN, SUSTAIN_BINDING], ids=["loose", "binding"])
+    def test_diagnostics_describe_the_subproblems(self, tmp_path, capsys, instance):
+        params = {**{k: v for k, v in instance.items() if k != "lam"}, "lambda": instance["lam"]}
+        cfg = _write_config(tmp_path, params=params, command="pareto",
+                            gridSubdivisions=6, outputPath=str(tmp_path / "front.csv"))
+        assert main(["pareto", "--config", str(cfg)]) == 0
+        diag = json.loads(capsys.readouterr().err)
+        cells = 3 * diag["gridCount"]
+        assert diag["exact"] > 0
+        assert diag["exact"] + diag["skippedInfeasible"] <= cells
+        assert diag["solved"] >= cells - diag["exact"] - diag["skippedInfeasible"]
+        cm = CostModel(ModelParams(**instance))
+        funcs = (cm.average_cost, lambda qp, qr: cm.ghg_value(qp), cm.energy_value)
+        assert len(diag["individualMinima"]) == len(diag["individualValues"]) == 3
+        for f, (qp, qr), value in zip(funcs, diag["individualMinima"], diag["individualValues"]):
+            assert qr == cm.best_repair(qp)
+            assert abs(f(qp, qr) - value) <= 1e-12 * max(1.0, abs(value))
+
     def test_infeasible_model_exit_code(self, tmp_path, capsys):
         params = {**SUSTAIN_JSON, "k1": 50.0}
         cfg = _write_config(tmp_path, params=params, command="pareto",
@@ -421,6 +444,26 @@ class TestArgvErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: relot solve")
         assert captured.err == ""
+
+
+class TestModuleEntryPoint:
+    def test_python_m_relot_writes_one_json_line(self, tmp_path):
+        """``python3 -m relot`` runs the CLI with nothing on stderr but the
+        diagnostics line (``-m relot.cli`` adds a runpy warning)."""
+        cfg = _write_config(tmp_path)
+        src = str(Path(relot.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relot", "solve", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["command"] == "solve"
+        header, rows = _rows(proc.stdout)
+        assert header[:3] == ["rpDp", "lambda", "Dr"] and len(rows) == 1
 
 
 def _reference_cell(value) -> str:

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import relot.pareto
 from relot import (
     BatchDecision,
     CostModel,
@@ -25,8 +26,9 @@ from relot import (
     solve_unconstrained,
     weight_grid,
 )
+from relot.pareto import SUBPROBLEM_BUDGET, SUBPROBLEM_LATTICE
 
-from conftest import SUSTAIN, UNCON_BASE, unconstrained_params
+from conftest import SUSTAIN, SUSTAIN_BINDING, UNCON_BASE, unconstrained_params
 
 THIRDS = WeightVector(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
@@ -324,3 +326,114 @@ class TestParetoFront:
     def test_needs_all_three_objectives(self):
         with pytest.raises(ParameterError):
             pareto_front(unconstrained_params(45.0), 5)
+
+
+# The SUSTAIN front at m=6 as the searched-only construction gave it (every
+# subproblem solved numerically): Qp, Qr, f1, f2, f3 as float.hex, rank,
+# subproblem.
+SUSTAIN_M6_FRONT = (
+    ("0x1.211b0d5116ca5p+6", "0x1.99467b6a37e96p+7", "0x1.5b99cc8a4d298p+10", "-0x1.ddddddddddddfp+3", "0x1.dc5a4ff5406b1p+11", "weak-efficient", 2),
+    ("0x1.1b08f5bd9ec48p+6", "0x1.99467b6a37e96p+7", "0x1.5b998ec9e5b54p+10", "0x1.dbfa19c7bd576p+13", "0x1.dc5a2459d5085p+11", "weak-efficient", 3),
+    ("0x1.1b269746277c0p+6", "0x1.99467b6a37e96p+7", "0x1.5b998fdca1c5bp+10", "0x1.645c0b428cd78p+12", "0x1.dc5a25356a851p+11", "weak-efficient", 3),
+    ("0x1.1b4b30f89a35bp+6", "0x1.99467b6a37e96p+7", "0x1.5b999131725a2p+10", "0x1.3ba8c87a177bdp+11", "0x1.dc5a264446aafp+11", "weak-efficient", 3),
+    ("0x1.1b8c1b693957fp+6", "0x1.99467b6a37e96p+7", "0x1.5b999391e4818p+10", "0x1.d4825812bd19cp+9", "0x1.dc5a2823ad037p+11", "weak-efficient", 3),
+    ("0x1.1b104ea4e9672p+6", "0x1.99467b6a37e96p+7", "0x1.5b998f0debeadp+10", "0x1.64db0e453f88dp+13", "0x1.dc5a24904e1e6p+11", "weak-efficient", 3),
+    ("0x1.1b3742f1fbabep+6", "0x1.99467b6a37e96p+7", "0x1.5b999077aa2c4p+10", "0x1.da7b44a9b10b7p+11", "0x1.dc5a25b0d64efp+11", "weak-efficient", 3),
+    ("0x1.1b588ccbad8bep+6", "0x1.99467b6a37e96p+7", "0x1.5b9991ae3ddd4p+10", "0x1.f15003e4f9073p+10", "0x1.dc5a26a708d42p+11", "weak-efficient", 1),
+    ("0x1.1b765035df0edp+6", "0x1.99467b6a37e96p+7", "0x1.5b9992c50eec9p+10", "0x1.39ab1cc5e458ep+10", "0x1.dc5a2782df9efp+11", "weak-efficient", 3),
+    ("0x1.1b1723f4f867dp+6", "0x1.99467b6a37e96p+7", "0x1.5b998f4d3ec48p+10", "0x1.197b088e77aa6p+13", "0x1.dc5a24c2f3c7ap+11", "weak-efficient", 1),
+    ("0x1.1b1c7a45b2976p+6", "0x1.99467b6a37e96p+7", "0x1.5b998f7ebe6acp+10", "0x1.db7ac744e7257p+12", "0x1.dc5a24ea802adp+11", "weak-efficient", 3),
+    ("0x1.1b563282726d4p+6", "0x1.99467b6a37e96p+7", "0x1.5b9991983f680p+10", "0x1.02e50029d247fp+11", "0x1.dc5a2695a53f5p+11", "weak-efficient", 1),
+    ("0x1.1b279bb85695ap+6", "0x1.99467b6a37e96p+7", "0x1.5b998fe615680p+10", "0x1.5ad9daf4e9156p+12", "0x1.dc5a253cf35cap+11", "weak-efficient", 1),
+)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a subproblem was searched numerically")
+
+
+class TestExactSubproblems:
+    def test_degenerate_front_runs_no_search(self, monkeypatch):
+        """Criterion 7's instance: x_1* meets every level it is asked about,
+        and every other subproblem is provably empty."""
+        monkeypatch.setattr(relot.pareto, "minimize", _no_search)
+        deg = ModelParams(**dict(SUSTAIN, ap=0.0, bp=0.0, Wp=0.0, Wr=0.0, Kp=0.0, Kr=0.0))
+        front = pareto_front(deg, 12)
+        d = front.diagnostics
+        assert len(front) == 1
+        assert d.solved == 0
+        assert d.exact > 0
+        assert d.exact + d.skipped_infeasible == 3 * d.grid_count
+        assert front.points[0].decision == d.individual_minima[0]
+
+    def test_tied_levels_count_as_met(self, monkeypatch):
+        """f2 and f3 constant and bit-equal: at w2 == w3 the level of
+        subproblem 2 (and 3) equals the other's weighted value exactly, and
+        a met level includes equality."""
+        monkeypatch.setattr(relot.pareto, "minimize", _no_search)
+        flat = dict(SUSTAIN, ap=0.0, bp=0.0, Wp=0.0)
+        cm = CostModel(ModelParams(**flat))
+        flat["cp"] = cm.energy_value(71.0, 200.0)
+        p = ModelParams(**flat)
+        cm = CostModel(p)
+        assert cm.ghg_value(75.0) == cm.energy_value(72.0, 150.0) == flat["cp"]
+        front = pareto_front(p, 5)
+        d = front.diagnostics
+        assert d.shifts == (0.0, 0.0, 0.0)
+        assert WeightVector(0.2, 0.4, 0.4) in weight_grid(5)
+        assert d.solved == 0
+        assert d.exact + d.skipped_infeasible == 3 * d.grid_count
+        assert len(front) == 1
+
+    def test_sustain_front_is_unchanged(self, sustainability_params):
+        front = pareto_front(sustainability_params, 6)
+        got = tuple(
+            (pt.decision.Qp.hex(), pt.decision.Qr.hex(), *(v.hex() for v in pt.objectives),
+             pt.rank, pt.subproblem)
+            for pt in front
+        )
+        assert got == SUSTAIN_M6_FRONT
+        d = front.diagnostics
+        assert (d.solved, d.exact, d.skipped_infeasible) == (12, 10, 8)
+        assert (d.recorded, d.deduplicated, d.front_size) == (22, 9, 13)
+
+    @pytest.mark.parametrize("instance", [SUSTAIN, SUSTAIN_BINDING], ids=["loose", "binding"])
+    def test_no_search_beats_a_minimizer_that_meets_the_levels(self, instance):
+        """Optimality certificate of the exact answer.  Wherever x_k* meets
+        the anchored levels, the numeric search of that subproblem, run with
+        the front's own shifts, bounds, seeds and floors, returns a feasible
+        point no better than x_k*."""
+        p = ModelParams(**instance)
+        cm = CostModel(p)
+        funcs = (cm.average_cost, lambda qp, qr: cm.ghg_value(qp), cm.energy_value)
+
+        def triple(dec):
+            return tuple(f(dec.Qp, dec.Qr) for f in funcs)
+
+        d = pareto_front(p, 6).diagnostics
+        shifts, minima = d.shifts, d.individual_minima
+        bounds = decision_box(p, emissions_domain=True)
+        (qp_lo, qr_lo), (qp_hi, qr_hi) = bounds
+        center = BatchDecision(Qp=math.sqrt(qp_lo * qp_hi), Qr=math.sqrt(qr_lo * qr_hi))
+        met = 0
+        for w in weight_grid(6):
+            wt = w.as_tuple()
+            for k in (1, 2, 3):
+                at_min = triple(minima[k - 1])
+                exact = wt[k - 1] * (at_min[k - 1] + shifts[k - 1])
+                for anchor in (*minima, center):
+                    vals = triple(anchor)
+                    level = wt[k - 1] * (vals[k - 1] + shifts[k - 1])
+                    if not all(wt[i] * (at_min[i] + shifts[i]) <= level
+                               for i in range(3) if i != k - 1):
+                        continue
+                    met += 1
+                    sub = scalar_subproblem(
+                        p, w, k, vals, shifts=shifts, bounds=bounds,
+                        seeds=[anchor.as_tuple()] + [m.as_tuple() for m in minima],
+                        lattice=SUBPROBLEM_LATTICE, budget=SUBPROBLEM_BUDGET,
+                        objective_floors=d.individual_values,
+                    )
+                    assert sub.feasible, (w, k, anchor)
+                    assert sub.value >= exact - 1e-12 * abs(exact), (w, k, anchor)
+        assert met >= d.exact > 0
