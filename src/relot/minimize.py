@@ -176,8 +176,6 @@ def minimize(
     *,
     lattice: tuple[int, int] = (7, 7),
     budget: int = 20000,
-    rounds: int = PENALTY_ROUNDS,
-    mu0: float = PENALTY_INITIAL,
 ) -> SolveResult:
     """Multi-start penalized pattern search.
 
@@ -197,8 +195,8 @@ def minimize(
         deadline = ev.evals + budget
         x = start
         ev(x)
-        mu = mu0
-        for rnd in range(rounds):
+        mu = PENALTY_INITIAL
+        for rnd in range(PENALTY_ROUNDS):
             def merit(pt: Point, _mu: float = mu) -> float:
                 f, _, pen = ev(pt)
                 return f + _mu * pen

@@ -24,14 +24,17 @@ falls to the box's lower Qr.  A constant f2 also takes the f1 minimizer.
 
 Per weight, each of the three subproblems is anchored at the best
 candidate (the three individual minimizers plus the box center, ranked by
-weighted-max merit) that gives it a provably non-empty region.  Subproblem
-k is answered exactly by x_k*, the individual minimizer of f_k, whenever
+weighted-max merit) whose region is not provably empty, and
+``pareto_front`` makes every decision that needs no search.  Subproblem k
+is answered exactly by x_k*, the individual minimizer of f_k, whenever
 x_k* meets the anchored levels of the other two objectives: x_k*
-minimizes f_k over the whole region, so it is then an optimum.  Only the
-remaining subproblems are searched numerically, and a search's output
-takes the f1-best repair batch at its Qp.  Coincident triples are recorded
-as efficient, otherwise the non-dominated members of the triple as
-weak-efficient; a final global dominance filter produces the front.
+minimizes f_k over the whole region, so it is then an optimum.  A level
+below w_i*(f_i(x_i*) + s_i) for some i != k leaves the region provably
+empty.  Only the remaining subproblems are searched (``scalar_subproblem``),
+and a search's output takes the f1-best repair batch at its Qp.
+Coincident triples are recorded as efficient, otherwise the non-dominated
+members of the triple as weak-efficient; coincident records collapse
+(``_collapse``) and a global dominance filter produces the front.
 
 When any objective is non-positive at its individual minimum, all three
 objectives are shifted by s_i = max(0, -min f_i) + 1 inside the
@@ -143,10 +146,12 @@ class ParetoPoint:
 class FrontDiagnostics:
     """Counts and anchors of one front.
 
-    ``solved`` counts the subproblems searched numerically; ``exact``
-    counts those answered by their objective's individual minimizer
-    without a search; ``skipped_infeasible`` counts those left without a
-    point because every anchor's region is provably empty.
+    ``solved`` counts the numeric searches (``scalar_subproblem`` calls);
+    ``exact`` counts subproblems answered by their objective's individual
+    minimizer without a search; ``skipped_infeasible`` counts those left
+    without a point; ``deduplicated`` counts the records dropped because
+    a run of Qp-sorted records within COINCIDENCE_RTOL of the run's first
+    record keeps one of them (``_collapse``).
     """
 
     grid_count: int
@@ -313,18 +318,14 @@ def scalar_subproblem(
     shifts: tuple[float, float, float] = (0.0, 0.0, 0.0),
     bounds=None,
     seeds: Sequence[tuple[float, float]] = (),
-    lattice: tuple[int, int] = (4, 4),
-    budget: int = 4000,
-    objective_floors: tuple[float, float, float] | None = None,
 ) -> SolveResult:
     """Minimize w_k*(f_k + s_k) subject to w_i*(f_i + s_i) <= w_k*(f_k(anchor) + s_k).
 
     ``anchor`` provides objective values only (an ObjectiveVector or any
     3-sequence); +inf components drop the corresponding constraint, so an
     all-inf anchor degenerates to plain single-objective minimization.
-    ``objective_floors`` are known lower bounds of the unshifted objectives
-    over the region; a subproblem whose bound already exceeds the anchored
-    level returns an infeasible report without searching (iterations == 0).
+    Every call is a search by ``minimize`` on SUBPROBLEM_LATTICE starts
+    plus ``seeds``, with SUBPROBLEM_BUDGET evaluations per start.
     """
     if k not in (1, 2, 3):
         raise DomainError(f"subproblem index must be 1, 2 or 3, got {k!r}")
@@ -364,21 +365,6 @@ def scalar_subproblem(
         for i in (0, 1, 2):
             if i == k - 1:
                 continue
-            if objective_floors is not None:
-                bound = wt[i] * (objective_floors[i] + shifts[i])
-                if bound > rhs + 1e-12 * scale:
-                    center = (
-                        math.sqrt(lower[0] * upper[0]),
-                        math.sqrt(lower[1] * upper[1]),
-                    )
-                    return SolveResult(
-                        decision=BatchDecision(Qp=center[0], Qr=center[1]),
-                        value=math.inf,
-                        feasible=False,
-                        iterations=0,
-                        starts=0,
-                        max_violation=(bound - rhs) / scale,
-                    )
             cons.append(
                 lambda qp, qr, _f=funcs[i + 1], _w=wt[i], _s=shifts[i], _r=rhs, _sc=scale: (
                     _w * (_f(qp, qr) + _s) - _r
@@ -392,7 +378,7 @@ def scalar_subproblem(
         upper=upper,
         constraints=tuple(cons),
     )
-    return minimize(prog, seeds=seeds, lattice=lattice, budget=budget)
+    return minimize(prog, seeds=seeds, lattice=SUBPROBLEM_LATTICE, budget=SUBPROBLEM_BUDGET)
 
 
 # -- front construction ----------------------------------------------------------
@@ -404,18 +390,40 @@ def _coincident(a: BatchDecision, b: BatchDecision, rtol: float) -> bool:
     ) <= rtol * max(abs(a.Qr), abs(b.Qr))
 
 
+def _collapse(records: list) -> list:
+    """One representative per run of coincident records.
+
+    A record is (grid index, k, decision, objectives, rank).  Records are
+    visited in (Qp, record index) order; each joins the current run when
+    it is coincident with the run's first record, so a run spans at most
+    COINCIDENCE_RTOL, and otherwise starts a new run.  Each run keeps its
+    record with the lexicographically smallest objectives, the earliest on
+    ties, and the runs come out in the order of their earliest record.
+    A record's place in the list only breaks ties.
+    """
+    order = sorted(range(len(records)), key=lambda i: (records[i][2].Qp, i))
+    runs: list[list[int]] = []
+    for i in order:
+        if runs and _coincident(records[i][2], records[runs[-1][0]][2], COINCIDENCE_RTOL):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    best = sorted((min(run), min(run, key=lambda i: (records[i][3], i))) for run in runs)
+    return [records[i] for _, i in best]
+
+
 def pareto_front(params: ModelParams, m: int) -> ParetoFront:
     """Approximate the efficient frontier of (f1, f2, f3) on a weight grid.
 
     The individual minima are exact (see the module docstring).  Per
     weight, each scalarized subproblem is anchored at the best-merit
-    feasible candidate that gives it a non-empty region.  Subproblem k
+    feasible candidate whose region is not provably empty.  Subproblem k
     takes x_k* itself when x_k* meets the anchored levels of the other two
     objectives (counted in ``exact``); otherwise it is searched
     numerically (counted in ``solved``) and its output takes the f1-best
     repair batch at its Qp.  The triple is classified (coincident ->
     efficient, otherwise its non-dominated members -> weak-efficient),
-    then the union of all recorded points is filtered.
+    coincident records collapse, and the rest is filtered.
     """
     if not params.has_sustainability:
         raise ParameterError(
@@ -495,13 +503,20 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
             # of subproblem k whenever the anchored level admits it.
             at_min = triple(minima[k - 1])
             needed = max(wt[i] * (at_min[i] + shifts[i]) for i in range(3) if i != k - 1)
+            # No point undercuts an individual minimum, so a level below
+            # ``bound`` leaves the region empty.
+            bound = max(wt[i] * (minimum_values[i] + shifts[i]) for i in range(3) if i != k - 1)
             # Anchor at the best candidate whose subproblem is not provably
             # empty; later candidates give laxer levels.
             for anchor_dec in by_merit:
-                if needed <= wt[k - 1] * (triple(anchor_dec)[k - 1] + shifts[k - 1]):
+                level = wt[k - 1] * (triple(anchor_dec)[k - 1] + shifts[k - 1])
+                if needed <= level:
                     exact += 1
                     finals[k] = minima[k - 1]
                     break
+                if bound > level + 1e-12 * max(1.0, abs(level)):
+                    continue
+                solved += 1
                 sub = scalar_subproblem(
                     params,
                     w,
@@ -510,12 +525,7 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
                     shifts=shifts,
                     bounds=bounds,
                     seeds=[anchor_dec.as_tuple()] + seeds_base,
-                    lattice=SUBPROBLEM_LATTICE,
-                    budget=SUBPROBLEM_BUDGET,
-                    objective_floors=minimum_values,
                 )
-                if sub.iterations:
-                    solved += 1
                 if sub.feasible:
                     finals[k] = on_repair_line(sub.decision.Qp)
                     break
@@ -534,23 +544,7 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
                 k = ks[pos]
                 records.append((gi, k, finals[k], objs[pos], RANK_WEAK))
 
-    # Collapse coincident decisions recorded from different weights, keeping
-    # the representative with the lexicographically smallest objectives.
-    kept: list[list] = []
-    collapsed = 0
-    for rec in records:
-        hit = None
-        for slot in kept:
-            if _coincident(rec[2], slot[2], COINCIDENCE_RTOL):
-                hit = slot
-                break
-        if hit is None:
-            kept.append(list(rec))
-        else:
-            collapsed += 1
-            if rec[3] < hit[3]:
-                hit[0], hit[1], hit[2], hit[3], hit[4] = rec
-
+    kept = _collapse(records)
     survivors = dominance_filter([slot[3] for slot in kept]) if kept else []
     points = tuple(
         ParetoPoint(
@@ -571,7 +565,7 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
         individual_minima=minima,
         individual_values=minimum_values,
         recorded=len(records),
-        deduplicated=collapsed,
+        deduplicated=len(records) - len(kept),
         front_size=len(points),
     )
     return ParetoFront(points=points, diagnostics=diagnostics)

@@ -1,5 +1,6 @@
 """Property tests of the four-coefficient cost core, the KKT solver, the
-dominance filter and the command-line error contract.
+dominance filter, the front's coincidence collapse and the command-line
+error contract.
 
 Models are drawn in the bounded ranges of ``_random_valid_params``
 (test_model.py), decisions in [0.5, 400]; floor spaces are drawn relative
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from relot import (
+    BatchDecision,
     CostModel,
     ModelParams,
     NoKktPointError,
@@ -27,6 +29,7 @@ from relot import (
     solve_unconstrained,
 )
 from relot.cli import main
+from relot.pareto import COINCIDENCE_RTOL, _coincident, _collapse
 
 from test_cli import EX1_PARAMS, FLOOR_PARAMS
 from test_model import assert_coefficients_bit_identical
@@ -118,6 +121,65 @@ small_triples = st.lists(st.tuples(*[st.integers(0, 3).map(float)] * 3), max_siz
 @given(small_triples)
 def test_dominance_filter_matches_pairwise_oracle(triples):
     assert dominance_filter(triples) == _oracle_filter(triples)
+
+
+# -- coincidence collapse of front records ---------------------------------------
+
+RHO = COINCIDENCE_RTOL
+# Cluster centres far apart in Qp; members sit 0.3*rho apart, and where the
+# repair cap binds (Qp above about 89.4) Qr moves about twice as fast, so
+# no pair lies near the coincidence boundary in either coordinate.
+QP_CENTRES = (80.0, 89.0, 95.0, 120.0)
+
+
+def _repair_line(qp: float) -> float:
+    """A non-increasing Qr(Qp): flat, then falling as a capped repair batch."""
+    return min(150.0, 1.2e6 / qp ** 2)
+
+
+@st.composite
+def clustered_records(draw):
+    cells = draw(st.lists(
+        st.tuples(st.sampled_from(QP_CENTRES), st.integers(0, 8), st.integers(1, 3)),
+        max_size=40,
+    ))
+    records = []
+    for gi, (centre, step, k) in enumerate(cells):
+        qp = centre * (1.0 + 0.3 * step * RHO)
+        qr = _repair_line(qp)
+        records.append((gi, k, BatchDecision(Qp=qp, Qr=qr), ((qp - 90.0) ** 2, qr, -qp),
+                        "weak-efficient"))
+    return records
+
+
+def _reference_collapse(records):
+    """The collapse rule, quadratically: open a run at the remaining record
+    with the smallest (Qp, index), put every remaining record coincident
+    with it in that run, repeat; keep per run the smallest objectives,
+    earliest on ties; order the runs by their earliest record."""
+    left = list(range(len(records)))
+    runs = []
+    while left:
+        head = min(left, key=lambda i: (records[i][2].Qp, i))
+        run = [i for i in left if _coincident(records[i][2], records[head][2], RHO)]
+        runs.append(run)
+        left = [i for i in left if i not in run]
+    runs.sort(key=min)
+    return runs, [records[min(run, key=lambda i: (records[i][3], i))] for run in runs]
+
+
+@SETTINGS
+@given(clustered_records(), st.randoms(use_true_random=False))
+def test_collapse_matches_the_quadratic_rule(records, rnd):
+    runs, want = _reference_collapse(records)
+    assert _collapse(records) == want
+    for run in runs:
+        qps = [records[i][2].Qp for i in run]
+        assert max(qps) - min(qps) <= RHO * max(qps)
+    shuffled = list(records)
+    rnd.shuffle(shuffled)
+    assert sorted(rec[2].as_tuple() for rec in _collapse(shuffled)) == sorted(
+        rec[2].as_tuple() for rec in want)
 
 
 # -- command-line contract ---------------------------------------------------------
