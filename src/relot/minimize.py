@@ -8,6 +8,11 @@ point is pulled back onto the feasible set by bisecting toward the best
 exactly-feasible iterate seen, then polished with a feasible-only pattern
 search.  Everything is deterministic: no randomness, fixed iteration
 order, lexicographic tie-breaks.
+
+Within one ``minimize`` call each distinct point is evaluated once; the
+objective and constraints must therefore be pure functions of the point.
+Budgets, deadlines and ``SolveResult.iterations`` count every evaluation,
+repeats included.
 """
 
 from __future__ import annotations
@@ -81,21 +86,30 @@ def lattice_starts(lower: Point, upper: Point, shape: tuple[int, int]) -> list[P
 class _Evaluator:
     """Evaluates (objective, max violation, squared penalty) with bookkeeping.
 
-    Tracks the best exactly-feasible point seen anywhere and the least
-    violating point otherwise.
+    Each distinct point is evaluated once: a repeat returns the stored
+    triple.  ``evals`` counts every call, repeats included, so budgets and
+    deadlines are unchanged by the memo.  A repeat cannot improve the
+    records, which only ever decrease, so it skips them.  Tracks the best
+    exactly-feasible point seen anywhere and the least violating point
+    otherwise.  One evaluator serves one ``minimize`` call, so the memo
+    holds at most that call's evaluations.
     """
 
-    __slots__ = ("objective", "constraints", "evals", "best_feasible", "best_near")
+    __slots__ = ("objective", "constraints", "evals", "seen", "best_feasible", "best_near")
 
     def __init__(self, prog: ScalarProgram):
         self.objective = prog.objective
         self.constraints = prog.constraints
         self.evals = 0
+        self.seen: dict[Point, tuple[float, float, float]] = {}
         self.best_feasible: tuple[float, Point] | None = None
         self.best_near: tuple[float, float, Point] | None = None
 
     def __call__(self, x: Point) -> tuple[float, float, float]:
         self.evals += 1
+        hit = self.seen.get(x)
+        if hit is not None:
+            return hit
         f = self.objective(x[0], x[1])
         viol = 0.0
         pen = 0.0
@@ -110,7 +124,8 @@ class _Evaluator:
                 self.best_feasible = (f, x)
         elif self.best_near is None or (viol, f, x) < self.best_near:
             self.best_near = (viol, f, x)
-        return f, viol, pen
+        out = self.seen[x] = (f, viol, pen)
+        return out
 
 
 def _clip(x: Point, lower: Point, upper: Point) -> Point:
@@ -129,15 +144,25 @@ def _compass(
     ev: _Evaluator,
     deadline: int,
 ) -> Point:
-    """Pattern search with step halving from step_frac down to STEP_MIN."""
-    width = (upper[0] - lower[0], upper[1] - lower[1])
-    step = [step_frac * width[0], step_frac * width[1]]
-    floor = (STEP_MIN * width[0], STEP_MIN * width[1])
+    """Pattern search with step halving from step_frac down to STEP_MIN.
+
+    Each neighbour equals ``_clip`` of x moved along one axis, the unmoved
+    coordinate clipped too: a start may lie an ulp outside the box.
+    """
+    lo0, lo1 = lower
+    hi0, hi1 = upper
+    s0 = step_frac * (hi0 - lo0)
+    s1 = step_frac * (hi1 - lo1)
+    floor0 = STEP_MIN * (hi0 - lo0)
+    floor1 = STEP_MIN * (hi1 - lo1)
+    x0, x1 = x
+    c0 = min(max(x0, lo0), hi0)
+    c1 = min(max(x1, lo1), hi1)
     fx = value(x)
-    while (step[0] > floor[0] or step[1] > floor[1]) and ev.evals < deadline:
+    while (s0 > floor0 or s1 > floor1) and ev.evals < deadline:
         best: tuple[float, Point] | None = None
-        for dx, dy in ((step[0], 0.0), (-step[0], 0.0), (0.0, step[1]), (0.0, -step[1])):
-            y = _clip((x[0] + dx, x[1] + dy), lower, upper)
+        for y in ((min(max(x0 + s0, lo0), hi0), c1), (min(max(x0 - s0, lo0), hi0), c1),
+                  (c0, min(max(x1 + s1, lo1), hi1)), (c0, min(max(x1 - s1, lo1), hi1))):
             if y == x:
                 continue
             fy = value(y)
@@ -145,9 +170,10 @@ def _compass(
                 best = (fy, y)
         if best is not None and best[0] < fx:
             fx, x = best
+            x0, x1 = c0, c1 = x
         else:
-            step[0] *= 0.5
-            step[1] *= 0.5
+            s0 *= 0.5
+            s1 *= 0.5
     return x
 
 

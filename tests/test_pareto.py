@@ -1,5 +1,6 @@
 """Weight handling, dominance filtering and the three-objective front."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -484,6 +485,24 @@ class TestExactSubproblems:
         d = front.diagnostics
         assert (d.solved, d.exact, d.skipped_infeasible) == (10, 10, 10)
         assert (d.recorded, d.deduplicated, d.front_size) == (20, 9, 11)
+
+    @pytest.mark.parametrize("instance,size,counts,digest", [
+        (SUSTAIN, 61, (55, 66, 55, 44, 121, 60, 61),
+         "c09f8279b23c3dfbb86b77731af931731cbc2b78dc77ba54a054b75af74dea3b"),
+        (SUSTAIN_BINDING, 51, (55, 55, 55, 55, 110, 59, 51),
+         "2926cc8de84c076b0ff234b5cf6e77815b760411a27f7ce154485e9704fcf217"),
+    ], ids=["loose", "binding"])
+    def test_m12_front_is_unchanged(self, instance, size, counts, digest):
+        """The m=12 fronts as the unmemoized search gave them: the diagnostic
+        counts (grid, solved, exact, skipped, recorded, deduplicated, size)
+        and a sha256 over each point's Qp, Qr, f1-f3 as float.hex, its rank
+        and its subproblem."""
+        front = pareto_front(ModelParams(**instance), 12)
+        d = front.diagnostics
+        assert len(front) == size
+        assert (d.grid_count, d.solved, d.exact, d.skipped_infeasible,
+                d.recorded, d.deduplicated, d.front_size) == counts
+        assert hashlib.sha256(repr(_front_hex(front)).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("instance,searches,screens",
                              [(SUSTAIN, 12, 58), (SUSTAIN_BINDING, 10, 40)],

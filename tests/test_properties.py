@@ -28,10 +28,10 @@ from relot import (
     solve_constrained,
     solve_unconstrained,
 )
-from relot.cli import main
+from relot.cli import MAX_GRID_SUBDIVISIONS, main
 from relot.pareto import COINCIDENCE_RTOL, _coincident, _collapse
 
-from test_cli import EX1_PARAMS, FLOOR_PARAMS
+from test_cli import EX1_PARAMS, FLOOR_PARAMS, SUSTAIN_JSON
 from test_model import assert_coefficients_bit_identical
 from test_pareto import _oracle_filter
 
@@ -184,8 +184,7 @@ def test_collapse_matches_the_quadratic_rule(records, rnd):
 
 # -- command-line contract ---------------------------------------------------------
 
-# One small valid config per subcommand; pareto is left out because one
-# front takes seconds.
+# One small valid config per subcommand.
 VALID_CONFIGS = {
     "solve": {"command": "solve", "params": EX1_PARAMS, "outputFormat": "csv"},
     "solve-constrained": {"command": "solve-constrained", "params": FLOOR_PARAMS},
@@ -194,9 +193,11 @@ VALID_CONFIGS = {
         "sweepRange": {"lo": 45.0, "hi": 60.0, "step": 5.0},
     },
     "oracle": {"command": "oracle", "params": FLOOR_PARAMS},
+    "pareto": {"command": "pareto", "params": SUSTAIN_JSON, "gridSubdivisions": 3},
 }
 SUBCOMMANDS = sorted(VALID_CONFIGS)
 MAX_TEST_SWEEP_ROWS = 50
+MAX_TEST_GRID_SUBDIVISIONS = 6
 
 
 def _json_values(depth: int):
@@ -238,10 +239,17 @@ def mutated_configs(draw):
     return sub, doc
 
 
-def _small_sweep(doc) -> bool:
+def _small_job(doc) -> bool:
     """False when the document holds a sweep range of more than
-    MAX_TEST_SWEEP_ROWS rows that validation would accept."""
-    rng = doc.get("sweepRange") if isinstance(doc, dict) else None
+    MAX_TEST_SWEEP_ROWS rows, or a grid of more than
+    MAX_TEST_GRID_SUBDIVISIONS subdivisions, that validation would accept.
+    A front's subproblem count grows with the square of the subdivisions."""
+    if not isinstance(doc, dict):
+        return True
+    m = doc.get("gridSubdivisions")
+    if isinstance(m, int) and MAX_TEST_GRID_SUBDIVISIONS < m <= MAX_GRID_SUBDIVISIONS:
+        return False
+    rng = doc.get("sweepRange")
     try:
         rows = len(SweepRange(*(float(rng[k]) for k in ("lo", "hi", "step"))).values())
     except (TypeError, KeyError, ValueError, OverflowError):
@@ -252,7 +260,7 @@ def _small_sweep(doc) -> bool:
 def _check_contract(workdir, sub: str, doc) -> None:
     """main exits 0, 2 or 3 with exactly one JSON line on stderr, no traceback
     and no warning."""
-    assume(_small_sweep(doc))
+    assume(_small_job(doc))
     cfg = workdir / "config.json"
     cfg.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
