@@ -30,8 +30,12 @@ is answered exactly by x_k*, the individual minimizer of f_k, whenever
 x_k* meets the anchored levels of the other two objectives: x_k*
 minimizes f_k over the whole region, so it is then an optimum.  A level
 below w_i*(f_i(x_i*) + s_i) for some i != k leaves the region provably
-empty.  Only the remaining subproblems are searched (``scalar_subproblem``),
-and a search's output takes the f1-best repair batch at its Qp.
+empty.  Subproblem 3 is answered exactly at the edge of its levels
+(``_energy_edge``): along the repair line each level is a Qp interval
+around x_i*, and f3 does not fall as Qp rises, so the lowest Qp that meets
+both levels is an optimum, and none means the region is empty.  The
+remaining subproblems 1 and 2 are searched (``scalar_subproblem``), and a
+search's output takes the f1-best repair batch at its Qp.
 Coincident triples are recorded as efficient, otherwise the non-dominated
 members of the triple as weak-efficient; coincident records collapse
 (``_collapse``) and a global dominance filter produces the front.
@@ -147,8 +151,9 @@ class FrontDiagnostics:
     """Counts and anchors of one front.
 
     ``solved`` counts the numeric searches (``scalar_subproblem`` calls);
-    ``exact`` counts subproblems answered by their objective's individual
-    minimizer without a search; ``skipped_infeasible`` counts those left
+    ``exact`` counts subproblems answered exactly without a search: by
+    their objective's individual minimizer x_k*, or at subproblem 3's level
+    edge (``_energy_edge``); ``skipped_infeasible`` counts those left
     without a point; ``deduplicated`` counts the records dropped because
     a run of Qp-sorted records within COINCIDENCE_RTOL of the run's first
     record keeps one of them (``_collapse``).
@@ -384,6 +389,56 @@ def scalar_subproblem(
 # -- front construction ----------------------------------------------------------
 
 
+def _energy_edge(
+    cm: CostModel,
+    wt: tuple[float, float, float],
+    shifts: tuple[float, float, float],
+    level: float,
+    qp_lo: float,
+    minima: Sequence[BatchDecision],
+) -> float | None:
+    """The lowest Qp on the repair line meeting the f1 and f2 levels, or None.
+
+    Subproblem 3 minimizes f3, which does not fall as Qp rises, subject to
+    w_i*(f_i + s_i) <= ``level`` for i = 1, 2.  Along the repair line
+    Qr = best_repair(Qp) reduced f1 is convex and f2 quasiconvex, so each
+    level holds on a Qp interval around x_i* and does not rise on
+    [qp_lo, x_i*].  Bisection to adjacent floats finds each interval's left
+    edge a_i.  The intersection of the two intervals is non-empty exactly
+    when max(a_1, a_2) lies in both, and that Qp is then an optimum.  The
+    levels are evaluated by the same float expressions as the search's
+    constraints, so the answer meets them in floating point, and the float
+    just below it misses one of them or lies below qp_lo.
+    """
+
+    def weighted(i: int, qp: float) -> float:
+        f = cm.average_cost(qp, cm.best_repair(qp)) if i == 0 else cm.ghg_value(qp)
+        return wt[i] * (f + shifts[i])
+
+    def left_edge(i: int) -> float | None:
+        lo, hi = qp_lo, minima[i].Qp
+        if not weighted(i, hi) <= level:
+            return None
+        if weighted(i, lo) <= level:
+            return lo
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return hi
+            if weighted(i, mid) <= level:
+                hi = mid
+            else:
+                lo = mid
+
+    edges = [left_edge(0), left_edge(1)]
+    if None in edges:
+        return None
+    qp = max(edges)
+    if weighted(0, qp) <= level and weighted(1, qp) <= level:
+        return qp
+    return None
+
+
 def _coincident(a: BatchDecision, b: BatchDecision, rtol: float) -> bool:
     return abs(a.Qp - b.Qp) <= rtol * max(abs(a.Qp), abs(b.Qp)) and abs(
         a.Qr - b.Qr
@@ -419,9 +474,12 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
     weight, each scalarized subproblem is anchored at the best-merit
     feasible candidate whose region is not provably empty.  Subproblem k
     takes x_k* itself when x_k* meets the anchored levels of the other two
-    objectives (counted in ``exact``); otherwise it is searched
-    numerically (counted in ``solved``) and its output takes the f1-best
-    repair batch at its Qp.  The triple is classified (coincident ->
+    objectives, and otherwise subproblem 3 takes the lowest Qp on the
+    repair line that meets both levels (both counted in ``exact``); an
+    anchor whose levels no Qp meets passes to the next candidate.
+    Subproblems 1 and 2 are otherwise searched numerically (counted in
+    ``solved``), and a search's output takes the f1-best repair batch at
+    its Qp.  The triple is classified (coincident ->
     efficient, otherwise its non-dominated members -> weak-efficient),
     coincident records collapse, and the rest is filtered.
     """
@@ -516,6 +574,13 @@ def pareto_front(params: ModelParams, m: int) -> ParetoFront:
                     break
                 if bound > level + 1e-12 * max(1.0, abs(level)):
                     continue
+                if k == 3:
+                    qp = _energy_edge(cm, wt, shifts, level, qp_lo, minima)
+                    if qp is None:
+                        continue
+                    exact += 1
+                    finals[k] = on_repair_line(qp)
+                    break
                 solved += 1
                 sub = scalar_subproblem(
                     params,

@@ -28,7 +28,7 @@ from relot import (
     solve_unconstrained,
     weight_grid,
 )
-from relot.pareto import COINCIDENCE_RTOL, _collapse, _feasible_decision
+from relot.pareto import COINCIDENCE_RTOL, _collapse, _energy_edge, _feasible_decision
 
 from conftest import SUSTAIN, SUSTAIN_BINDING, UNCON_BASE, unconstrained_params
 
@@ -388,38 +388,40 @@ class TestCollapse:
         assert _collapse(records) == records
 
 
-# The SUSTAIN front at m=6 as the searched-only construction gave it (every
-# subproblem solved numerically): Qp, Qr, f1, f2, f3 as float.hex, rank,
-# subproblem.
+# The SUSTAIN front at m=6: Qp, Qr, f1, f2, f3 as float.hex, rank,
+# subproblem.  Subproblem-1 and -2 points are as the searched-only
+# construction gave them.  Subproblem-3 points sit at the edge of their
+# levels; each Qp is within 2 ulp of a 50-digit root of its binding level
+# (test_pinned_edges_solve_their_levels_at_50_digits).
 SUSTAIN_M6_FRONT = (
     ("0x1.211b0d5116ca5p+6", "0x1.99467b6a37e96p+7", "0x1.5b99cc8a4d298p+10", "-0x1.ddddddddddddfp+3", "0x1.dc5a4ff5406b1p+11", "weak-efficient", 2),
-    ("0x1.1b08f5bd9ec48p+6", "0x1.99467b6a37e96p+7", "0x1.5b998ec9e5b54p+10", "0x1.dbfa19c7bd576p+13", "0x1.dc5a2459d5085p+11", "weak-efficient", 3),
-    ("0x1.1b269746277c0p+6", "0x1.99467b6a37e96p+7", "0x1.5b998fdca1c5bp+10", "0x1.645c0b428cd78p+12", "0x1.dc5a25356a851p+11", "weak-efficient", 3),
-    ("0x1.1b4b30f89a35bp+6", "0x1.99467b6a37e96p+7", "0x1.5b999131725a2p+10", "0x1.3ba8c87a177bdp+11", "0x1.dc5a264446aafp+11", "weak-efficient", 3),
-    ("0x1.1b8c1b693957fp+6", "0x1.99467b6a37e96p+7", "0x1.5b999391e4818p+10", "0x1.d4825812bd19cp+9", "0x1.dc5a2823ad037p+11", "weak-efficient", 3),
-    ("0x1.1b104ea4e9672p+6", "0x1.99467b6a37e96p+7", "0x1.5b998f0debeadp+10", "0x1.64db0e453f88dp+13", "0x1.dc5a24904e1e6p+11", "weak-efficient", 3),
-    ("0x1.1b3742f1fbabep+6", "0x1.99467b6a37e96p+7", "0x1.5b999077aa2c4p+10", "0x1.da7b44a9b10b7p+11", "0x1.dc5a25b0d64efp+11", "weak-efficient", 3),
+    ("0x1.1b08f5b4121b8p+6", "0x1.99467b6a37e96p+7", "0x1.5b998ec9e55cep+10", "0x1.dbfad87dc78d7p+13", "0x1.dc5a2459d4c18p+11", "weak-efficient", 3),
+    ("0x1.1b269731d2934p+6", "0x1.99467b6a37e96p+7", "0x1.5b998fdca108dp+10", "0x1.645ccd09011f0p+12", "0x1.dc5a253569ee8p+11", "weak-efficient", 3),
+    ("0x1.1b4b30eee134ap+6", "0x1.99467b6a37e96p+7", "0x1.5b99913171ff6p+10", "0x1.3ba9021af7601p+11", "0x1.dc5a264446631p+11", "weak-efficient", 3),
+    ("0x1.1b8c1b53a1230p+6", "0x1.99467b6a37e96p+7", "0x1.5b999391e3b64p+10", "0x1.d482d87dc8b8bp+9", "0x1.dc5a2823ac642p+11", "weak-efficient", 3),
+    ("0x1.1b104e8d38538p+6", "0x1.99467b6a37e96p+7", "0x1.5b998f0deb0f6p+10", "0x1.64dc4480781e3p+13", "0x1.dc5a24904d6ecp+11", "weak-efficient", 3),
+    ("0x1.1b3742d58f59ap+6", "0x1.99467b6a37e96p+7", "0x1.5b999077a923ap+10", "0x1.da7c721762585p+11", "0x1.dc5a25b0d57c9p+11", "weak-efficient", 3),
     ("0x1.1b588ccbad8bep+6", "0x1.99467b6a37e96p+7", "0x1.5b9991ae3ddd4p+10", "0x1.f15003e4f9073p+10", "0x1.dc5a26a708d42p+11", "weak-efficient", 1),
-    ("0x1.1b765035df0edp+6", "0x1.99467b6a37e96p+7", "0x1.5b9992c50eec9p+10", "0x1.39ab1cc5e458ep+10", "0x1.dc5a2782df9efp+11", "weak-efficient", 3),
+    ("0x1.1b76503430d96p+6", "0x1.99467b6a37e96p+7", "0x1.5b9992c50edcdp+10", "0x1.39ab243d19cdfp+10", "0x1.dc5a2782df929p+11", "weak-efficient", 3),
     ("0x1.1b1723f4f867dp+6", "0x1.99467b6a37e96p+7", "0x1.5b998f4d3ec48p+10", "0x1.197b088e77aa6p+13", "0x1.dc5a24c2f3c7ap+11", "weak-efficient", 1),
-    ("0x1.1b1c7a45b2976p+6", "0x1.99467b6a37e96p+7", "0x1.5b998f7ebe6acp+10", "0x1.db7ac744e7257p+12", "0x1.dc5a24ea802adp+11", "weak-efficient", 3),
+    ("0x1.1b1c7a3b1493bp+6", "0x1.99467b6a37e96p+7", "0x1.5b998f7ebe084p+10", "0x1.db7b6106510eap+12", "0x1.dc5a24ea7fdc3p+11", "weak-efficient", 3),
     ("0x1.1b563282726d4p+6", "0x1.99467b6a37e96p+7", "0x1.5b9991983f680p+10", "0x1.02e50029d247fp+11", "0x1.dc5a2695a53f5p+11", "weak-efficient", 1),
     ("0x1.1b279bb85695ap+6", "0x1.99467b6a37e96p+7", "0x1.5b998fe615680p+10", "0x1.5ad9daf4e9156p+12", "0x1.dc5a253cf35cap+11", "weak-efficient", 1),
 )
 
 
-# SUSTAIN_BINDING at m=6 as the first-fit collapse gave it, same columns.
-# Its repair floor binds, so Qr varies along the front.
+# SUSTAIN_BINDING at m=6, same columns and provenance.  Its repair floor
+# binds, so Qr varies along the front.
 SUSTAIN_BINDING_M6_FRONT = (
     ("0x1.211b0d5116ca5p+6", "0x1.22b1e0a41b869p+7", "0x1.701dfef93877ap+10", "-0x1.ddddddddddddfp+3", "0x1.dc5a4ff5406b1p+11", "weak-efficient", 2),
-    ("0x1.1b08f5bd9ec48p+6", "0x1.35e89438205bap+7", "0x1.691cf5bb5a6e2p+10", "0x1.dbfa19c7bd576p+13", "0x1.dc5a2459d5085p+11", "weak-efficient", 3),
-    ("0x1.1b269746277c0p+6", "0x1.358acc01989bdp+7", "0x1.693aa4a0468f2p+10", "0x1.645c0b428cd78p+12", "0x1.dc5a25356a851p+11", "weak-efficient", 3),
-    ("0x1.1b4b30f89a35bp+6", "0x1.3516f4ea3f6c8p+7", "0x1.695f89041ddb8p+10", "0x1.3ba8c87a177bdp+11", "0x1.dc5a264446aafp+11", "weak-efficient", 3),
-    ("0x1.1b8c1b693957fp+6", "0x1.34497f8d7af6fp+7", "0x1.69a196f4e6613p+10", "0x1.d4825812bd19cp+9", "0x1.dc5a2823ad037p+11", "weak-efficient", 3),
-    ("0x1.1b104ea4e9672p+6", "0x1.35d15328e37f6p+7", "0x1.69244e0701ca9p+10", "0x1.64db0e453f88dp+13", "0x1.dc5a24904e1e6p+11", "weak-efficient", 3),
-    ("0x1.1b3742f1fbabep+6", "0x1.355608d3ad847p+7", "0x1.694b6a53f9913p+10", "0x1.da7b44a9b10b7p+11", "0x1.dc5a25b0d64efp+11", "weak-efficient", 3),
-    ("0x1.1b765035df0edp+6", "0x1.348e79b8f8b80p+7", "0x1.698b53245c1b0p+10", "0x1.39ab1cc5e458ep+10", "0x1.dc5a2782df9efp+11", "weak-efficient", 3),
-    ("0x1.1b1c7a45b2976p+6", "0x1.35aace3266bc6p+7", "0x1.69307e55b0404p+10", "0x1.db7ac744e7257p+12", "0x1.dc5a24ea802adp+11", "weak-efficient", 3),
+    ("0x1.1b08f5b4121b8p+6", "0x1.35e8945659b4fp+7", "0x1.691cf5b1d03d2p+10", "0x1.dbfad87dc78d7p+13", "0x1.dc5a2459d4c18p+11", "weak-efficient", 3),
+    ("0x1.1b269731d2934p+6", "0x1.358acc41f2259p+7", "0x1.693aa48bda0abp+10", "0x1.645ccd09011f0p+12", "0x1.dc5a253569ee8p+11", "weak-efficient", 3),
+    ("0x1.1b4b30eee134ap+6", "0x1.3516f509051f3p+7", "0x1.695f88fa48726p+10", "0x1.3ba9021af7601p+11", "0x1.dc5a264446631p+11", "weak-efficient", 3),
+    ("0x1.1b8c1b53a1230p+6", "0x1.34497fd1d3bd4p+7", "0x1.69a196decb3d2p+10", "0x1.d482d87dc8b8bp+9", "0x1.dc5a2823ac642p+11", "weak-efficient", 3),
+    ("0x1.1b104e8d38538p+6", "0x1.35d15373df770p+7", "0x1.69244def4e82bp+10", "0x1.64dc4480781e3p+13", "0x1.dc5a24904d6ecp+11", "weak-efficient", 3),
+    ("0x1.1b3742d58f59ap+6", "0x1.3556092da312fp+7", "0x1.694b6a37557a6p+10", "0x1.da7c721762585p+11", "0x1.dc5a25b0d57c9p+11", "weak-efficient", 3),
+    ("0x1.1b76503430d96p+6", "0x1.348e79be4a547p+7", "0x1.698b5322a57c0p+10", "0x1.39ab243d19cdfp+10", "0x1.dc5a2782df929p+11", "weak-efficient", 3),
+    ("0x1.1b1c7a3b1493bp+6", "0x1.35aace5401404p+7", "0x1.69307e4b0b0f2p+10", "0x1.db7b6106510eap+12", "0x1.dc5a24ea7fdc3p+11", "weak-efficient", 3),
     ("0x1.1b52e5dbd414ap+6", "0x1.34fe90b9cc1a2p+7", "0x1.696755da1179bp+10", "0x1.124857a71ab2ap+11", "0x1.dc5a267d41957p+11", "weak-efficient", 1),
     ("0x1.1b257641c5068p+6", "0x1.358e5ebed55a2p+7", "0x1.6939825420e3bp+10", "0x1.6f5beb043591bp+12", "0x1.dc5a252d0dfcdp+11", "weak-efficient", 1),
 )
@@ -474,7 +476,7 @@ class TestExactSubproblems:
         front = pareto_front(sustainability_params, 6)
         assert _front_hex(front) == SUSTAIN_M6_FRONT
         d = front.diagnostics
-        assert (d.solved, d.exact, d.skipped_infeasible) == (12, 10, 8)
+        assert (d.solved, d.exact, d.skipped_infeasible) == (4, 18, 8)
         assert (d.recorded, d.deduplicated, d.front_size) == (22, 9, 13)
 
     def test_binding_front_is_unchanged(self):
@@ -483,20 +485,21 @@ class TestExactSubproblems:
         front = pareto_front(ModelParams(**SUSTAIN_BINDING), 6)
         assert _front_hex(front) == SUSTAIN_BINDING_M6_FRONT
         d = front.diagnostics
-        assert (d.solved, d.exact, d.skipped_infeasible) == (10, 10, 10)
+        assert (d.solved, d.exact, d.skipped_infeasible) == (2, 18, 10)
         assert (d.recorded, d.deduplicated, d.front_size) == (20, 9, 11)
 
     @pytest.mark.parametrize("instance,size,counts,digest", [
-        (SUSTAIN, 61, (55, 66, 55, 44, 121, 60, 61),
-         "c09f8279b23c3dfbb86b77731af931731cbc2b78dc77ba54a054b75af74dea3b"),
-        (SUSTAIN_BINDING, 51, (55, 55, 55, 55, 110, 59, 51),
-         "2926cc8de84c076b0ff234b5cf6e77815b760411a27f7ce154485e9704fcf217"),
+        (SUSTAIN, 61, (55, 23, 98, 44, 121, 60, 61),
+         "94100837c3b5569f0346f8196ca9d1af33c56e7b9bf7c2f1ee1a481afb26b64c"),
+        (SUSTAIN_BINDING, 51, (55, 13, 97, 55, 110, 59, 51),
+         "64c9c6bc6e7a0d70cbd2eeacc76c334a670dad04fa208500e75a3618f92e262e"),
     ], ids=["loose", "binding"])
     def test_m12_front_is_unchanged(self, instance, size, counts, digest):
-        """The m=12 fronts as the unmemoized search gave them: the diagnostic
-        counts (grid, solved, exact, skipped, recorded, deduplicated, size)
-        and a sha256 over each point's Qp, Qr, f1-f3 as float.hex, its rank
-        and its subproblem."""
+        """The m=12 fronts, subproblem-1 and -2 points as the unmemoized
+        search gave them and subproblem-3 points at their level edges: the
+        diagnostic counts (grid, solved, exact, skipped, recorded,
+        deduplicated, size) and a sha256 over each point's Qp, Qr, f1-f3 as
+        float.hex, its rank and its subproblem."""
         front = pareto_front(ModelParams(**instance), 12)
         d = front.diagnostics
         assert len(front) == size
@@ -505,16 +508,15 @@ class TestExactSubproblems:
         assert hashlib.sha256(repr(_front_hex(front)).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("instance,searches,screens",
-                             [(SUSTAIN, 12, 58), (SUSTAIN_BINDING, 10, 40)],
+                             [(SUSTAIN, 4, 58), (SUSTAIN_BINDING, 2, 40)],
                              ids=["loose", "binding"])
     def test_screened_subproblems_are_empty(self, instance, searches, screens, monkeypatch):
         """Certificate of the screen.  Wherever x_k* misses the anchored
         level and the level lies below another objective's weighted
         individual minimum, a full search with the front's shifts, bounds
-        and seeds finds no feasible point.  Every other anchor tried is
-        searched, once."""
+        and seeds finds no feasible point.  Every other subproblem-1 or -2
+        anchor tried is searched, once; subproblem 3 is never searched."""
         p = ModelParams(**instance)
-        cm = CostModel(p)
         calls = []
 
         def counted(*args, **kwargs):
@@ -524,37 +526,15 @@ class TestExactSubproblems:
         monkeypatch.setattr(relot.pareto, "scalar_subproblem", counted)
         d = pareto_front(p, 6).diagnostics
         assert len(calls) == d.solved == searches
+        assert all(k != 3 for _, k in calls)
 
-        funcs = (cm.average_cost, lambda qp, qr: cm.ghg_value(qp), cm.energy_value)
-
-        def triple(dec):
-            return tuple(f(dec.Qp, dec.Qr) for f in funcs)
-
-        shifts, minima, values = d.shifts, d.individual_minima, d.individual_values
-        bounds = decision_box(p, emissions_domain=True)
-        (qp_lo, qr_lo), (qp_hi, qr_hi) = bounds
-        center = BatchDecision(Qp=math.sqrt(qp_lo * qp_hi), Qr=math.sqrt(qr_lo * qr_hi))
-        candidates = [a for a in (*minima, center) if _feasible_decision(p, cm, a)]
+        c = _Certificate(p)
         screened = 0
-        for w in weight_grid(6):
-            wt = w.as_tuple()
-            for k in (1, 2, 3):
-                others = [i for i in range(3) if i != k - 1]
-                at_min = triple(minima[k - 1])
-                for anchor in candidates:
-                    vals = triple(anchor)
-                    level = wt[k - 1] * (vals[k - 1] + shifts[k - 1])
-                    if all(wt[i] * (at_min[i] + shifts[i]) <= level for i in others):
-                        continue
-                    if not any(wt[i] * (values[i] + shifts[i]) > level + 1e-12 * max(1.0, abs(level))
-                               for i in others):
-                        continue
-                    screened += 1
-                    sub = scalar_subproblem(
-                        p, w, k, vals, shifts=shifts, bounds=bounds,
-                        seeds=[anchor.as_tuple()] + [m.as_tuple() for m in minima],
-                    )
-                    assert not sub.feasible, (w, k, anchor)
+        for w, k, anchor, level in c.subproblems(6):
+            if c.met_by_minimizer(w, k, level) or not c.screened(w, k, level):
+                continue
+            screened += 1
+            assert not c.search(w, k, anchor).feasible, (w, k, anchor)
         assert screened == screens
 
     @pytest.mark.parametrize("instance", [SUSTAIN, SUSTAIN_BINDING], ids=["loose", "binding"])
@@ -563,35 +543,185 @@ class TestExactSubproblems:
         the anchored levels, the numeric search of that subproblem, run with
         the front's own shifts, bounds and seeds, returns a feasible
         point no better than x_k*."""
-        p = ModelParams(**instance)
-        cm = CostModel(p)
-        funcs = (cm.average_cost, lambda qp, qr: cm.ghg_value(qp), cm.energy_value)
-
-        def triple(dec):
-            return tuple(f(dec.Qp, dec.Qr) for f in funcs)
-
-        d = pareto_front(p, 6).diagnostics
-        shifts, minima = d.shifts, d.individual_minima
-        bounds = decision_box(p, emissions_domain=True)
-        (qp_lo, qr_lo), (qp_hi, qr_hi) = bounds
-        center = BatchDecision(Qp=math.sqrt(qp_lo * qp_hi), Qr=math.sqrt(qr_lo * qr_hi))
+        c = _Certificate(ModelParams(**instance))
         met = 0
+        for w, k, anchor, level in c.subproblems(6, candidates=c.all_anchors):
+            if not c.met_by_minimizer(w, k, level):
+                continue
+            met += 1
+            sub = c.search(w, k, anchor)
+            exact = c.weighted(w, k - 1, c.minima[k - 1])
+            assert sub.feasible, (w, k, anchor)
+            assert sub.value >= exact - 1e-12 * abs(exact), (w, k, anchor)
+        assert met == 20  # the front takes x_k* 10 times; its other 8 exact answers are edges
+
+    @pytest.mark.parametrize("instance,decided", [(SUSTAIN, (32, 0)), (SUSTAIN_BINDING, (24, 0))],
+                             ids=["loose", "binding"])
+    def test_energy_edge_is_optimal(self, instance, decided):
+        """Optimality certificate of subproblem 3's level edge, over every
+        weight and every feasible anchor candidate that neither x_3* nor the
+        screen decides.  An edge meets both levels and the float below it
+        misses one of them or leaves the box; the numeric search, run with
+        the front's shifts, bounds and seeds, finds no lower f3.  Where the
+        rule finds no edge, the search finds no feasible point."""
+        c = _Certificate(ModelParams(**instance))
+        answered = empty = 0
+        for w, k, anchor, level in c.subproblems(6):
+            if k != 3 or c.met_by_minimizer(w, k, level) or c.screened(w, k, level):
+                continue
+            qp = _energy_edge(c.cm, w.as_tuple(), c.shifts, level, c.qp_lo, c.minima)
+            sub = c.search(w, k, anchor)
+            if qp is None:
+                empty += 1
+                assert not sub.feasible, (w, anchor)
+                continue
+            answered += 1
+            below = math.nextafter(qp, 0.0)
+            assert all(c.weighted(w, i, c.line(qp)) <= level for i in (0, 1))
+            assert below < c.qp_lo or any(c.weighted(w, i, c.line(below)) > level for i in (0, 1))
+            assert sub.feasible, (w, anchor)
+            f3 = c.cm.energy_value(qp, c.cm.best_repair(qp))
+            assert c.cm.energy_value(*sub.decision.as_tuple()) >= f3 - 1e-12 * abs(f3), (w, anchor)
+        assert (answered, empty) == decided
+
+    @pytest.mark.parametrize("instance", [SUSTAIN, SUSTAIN_BINDING], ids=["loose", "binding"])
+    def test_parted_levels_leave_subproblem_3_empty(self, instance):
+        """No anchor of the m=6 fronts parts the levels, so the empty
+        verdict is certified on levels set just above both weighted
+        individual minima: the f1 level then holds only near x_1* and the
+        f2 level only near x_2*.  The rule finds no edge, and the numeric
+        search with the front's shifts, bounds and seeds finds no feasible
+        point."""
+        c = _Certificate(ModelParams(**instance))
         for w in weight_grid(6):
             wt = w.as_tuple()
-            for k in (1, 2, 3):
-                at_min = triple(minima[k - 1])
-                exact = wt[k - 1] * (at_min[k - 1] + shifts[k - 1])
-                for anchor in (*minima, center):
-                    vals = triple(anchor)
-                    level = wt[k - 1] * (vals[k - 1] + shifts[k - 1])
-                    if not all(wt[i] * (at_min[i] + shifts[i]) <= level
-                               for i in range(3) if i != k - 1):
+            level = max(c.weighted(w, i, c.minima[i]) for i in (0, 1)) * (1.0 + 1e-9)
+            assert _energy_edge(c.cm, wt, c.shifts, level, c.qp_lo, c.minima) is None
+            sub = scalar_subproblem(
+                c.p, w, 3, (math.inf, math.inf, level / wt[2] - c.shifts[2]),
+                shifts=c.shifts, bounds=c.bounds, seeds=[m.as_tuple() for m in c.minima],
+            )
+            assert not sub.feasible, w
+
+    @pytest.mark.parametrize("instance,pinned", [(SUSTAIN, SUSTAIN_M6_FRONT),
+                                                 (SUSTAIN_BINDING, SUSTAIN_BINDING_M6_FRONT)],
+                             ids=["loose", "binding"])
+    def test_pinned_edges_solve_their_levels_at_50_digits(self, instance, pinned):
+        """Each pinned subproblem-3 Qp lies within 2 ulp of a root of one of
+        its weight's anchored levels, w_i*(f_i + s_i) = w_3*(f_3(anchor) + s_3)
+        for i = 1 or 2 on the repair line, solved at 50 digits.  The model is
+        re-derived here from the area decomposition, not from ``CostModel``."""
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(**instance)
+        c = _Certificate(p)
+        front = pareto_front(p, 6)
+        checked = 0
+        with mpmath.workdps(50):
+            f1, f2 = _model_at_working_precision(mpmath, p)
+            for pt, row in zip(front, pinned):
+                if row[-1] != 3:
+                    continue
+                qp = float.fromhex(row[0])
+                assert pt.decision.Qp == qp
+                wt = pt.weight.as_tuple()
+                gaps = []
+                for anchor, (i, f) in itertools.product(c.candidates, ((0, f1), (1, f2))):
+                    level = mpmath.mpf(c.weighted(pt.weight, 2, anchor))
+
+                    def meets(q):
+                        return mpmath.mpf(wt[i]) * (f(q) + mpmath.mpf(c.shifts[i])) <= level
+
+                    lo, hi = mpmath.mpf(c.qp_lo), mpmath.mpf(c.minima[i].Qp)
+                    if meets(lo) or not meets(hi):
                         continue
-                    met += 1
-                    sub = scalar_subproblem(
-                        p, w, k, vals, shifts=shifts, bounds=bounds,
-                        seeds=[anchor.as_tuple()] + [m.as_tuple() for m in minima],
-                    )
-                    assert sub.feasible, (w, k, anchor)
-                    assert sub.value >= exact - 1e-12 * abs(exact), (w, k, anchor)
-        assert met >= d.exact > 0
+                    for _ in range(200):  # 1.5 * 2**-200 is far below 50 digits
+                        mid = (lo + hi) / 2
+                        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+                    gaps.append(abs(mpmath.mpf(qp) - hi) / math.ulp(qp))
+                assert gaps and min(gaps) <= 2, (row, gaps)
+                checked += 1
+        assert checked == sum(row[-1] == 3 for row in pinned) > 0
+
+
+def _model_at_working_precision(mpmath, p):
+    """f1 and f2 along the repair line at the working precision.  f1 is the
+    cycle cost over T from the area decomposition; the repair batch is the
+    Qr that zeroes its Qr-derivative, cut to the repair floor's cap."""
+    v = {k: mpmath.mpf(getattr(p, k)) for k in
+         ("Dp", "Dr", "p", "r", "lam", "Ap", "Ar", "h1", "h2", "p2", "k2", "ap", "bp", "cp")}
+    inflow = v["r"] * v["p"] * v["Dp"]
+    C1 = 1 - inflow / v["lam"]
+    C2 = v["r"] * v["p"] / (C1 * (1 - inflow / v["Dr"]))
+    C3 = (1 + C2) / (v["Dp"] + v["Dr"])
+    t = C1 / v["Dr"]
+    c = 1 / v["lam"] + t
+
+    def cost(qp, qr):
+        n, T1 = C2 * qp / qr, t * qr
+        A1 = qp * qp / (2 * v["Dp"]) + C1 * C2 * c / 2 * qp * qr
+        A2 = (inflow / 2 * (T1 + qp / v["Dp"]) ** 2 + C1 * C2 / (2 * v["lam"]) * qp * qr
+              + inflow / 2 * (n - 1) * T1 * T1
+              + qr * c * (inflow * T1 + v["r"] * v["p"] * qp - C1 * qr)
+              + qr * qr * c * C1 * (1 - inflow / v["Dr"]))
+        return (v["Ap"] + n * v["Ar"] + v["h1"] * A1 + v["h2"] * A2) / (C3 * qp)
+
+    qr_star = mpmath.findroot(lambda qr: mpmath.diff(lambda x: cost(v["Dp"], x), qr),
+                              (mpmath.mpf(1), v["Dp"]), solver="anderson")
+
+    def f1(qp):
+        cap = (v["k2"] / (v["p2"] * inflow) - qp / v["Dp"]) / t
+        return cost(qp, min(qr_star, cap))
+
+    def f2(qp):
+        P = v["Dp"] / (1 - 2 * v["Ap"] * v["Dp"] / (v["h1"] * qp * qp))
+        return v["ap"] * P * P - v["bp"] * P + v["cp"]
+
+    return f1, f2
+
+
+class _Certificate:
+    """The inputs a front gives its subproblems, rebuilt for certificates:
+    shifts, minima, box and anchor candidates, and the searches and level
+    tests the front runs."""
+
+    def __init__(self, p):
+        self.p = p
+        self.cm = cm = CostModel(p)
+        self.funcs = (cm.average_cost, lambda qp, qr: cm.ghg_value(qp), cm.energy_value)
+        self.d = pareto_front(p, 6).diagnostics
+        self.shifts, self.minima, self.values = (
+            self.d.shifts, self.d.individual_minima, self.d.individual_values)
+        self.bounds = decision_box(p, emissions_domain=True)
+        (self.qp_lo, qr_lo), (qp_hi, qr_hi) = self.bounds
+        center = BatchDecision(Qp=math.sqrt(self.qp_lo * qp_hi), Qr=math.sqrt(qr_lo * qr_hi))
+        self.all_anchors = (*self.minima, center)
+        self.candidates = [a for a in self.all_anchors if _feasible_decision(p, cm, a)]
+
+    def line(self, qp):
+        return BatchDecision(Qp=qp, Qr=self.cm.best_repair(qp))
+
+    def weighted(self, w, i, dec):
+        return w.as_tuple()[i] * (self.funcs[i](dec.Qp, dec.Qr) + self.shifts[i])
+
+    def subproblems(self, m, candidates=None):
+        """(weight, k, anchor, level) for every weight, k and anchor."""
+        for w in weight_grid(m):
+            for k in (1, 2, 3):
+                for anchor in candidates or self.candidates:
+                    yield w, k, anchor, self.weighted(w, k - 1, anchor)
+
+    def met_by_minimizer(self, w, k, level):
+        return all(self.weighted(w, i, self.minima[k - 1]) <= level
+                   for i in range(3) if i != k - 1)
+
+    def screened(self, w, k, level):
+        wt = w.as_tuple()
+        return any(wt[i] * (self.values[i] + self.shifts[i]) > level + 1e-12 * max(1.0, abs(level))
+                   for i in range(3) if i != k - 1)
+
+    def search(self, w, k, anchor):
+        return scalar_subproblem(
+            self.p, w, k, [self.funcs[i](*anchor.as_tuple()) for i in range(3)],
+            shifts=self.shifts, bounds=self.bounds,
+            seeds=[anchor.as_tuple()] + [m.as_tuple() for m in self.minima],
+        )

@@ -1,6 +1,6 @@
 """Property tests of the four-coefficient cost core, the KKT solver, the
-dominance filter, the front's coincidence collapse and the command-line
-error contract.
+dominance filter, the front's coincidence collapse, subproblem 3's level
+edge and the command-line error contract.
 
 Models are drawn in the bounded ranges of ``_random_valid_params``
 (test_model.py), decisions in [0.5, 400]; floor spaces are drawn relative
@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from relot import (
     BatchDecision,
@@ -23,14 +23,17 @@ from relot import (
     ModelParams,
     NoKktPointError,
     SweepRange,
+    decision_box,
     dominance_filter,
     kkt_residual,
+    pareto_front,
     solve_constrained,
     solve_unconstrained,
 )
 from relot.cli import MAX_GRID_SUBDIVISIONS, main
-from relot.pareto import COINCIDENCE_RTOL, _coincident, _collapse
+from relot.pareto import COINCIDENCE_RTOL, _coincident, _collapse, _energy_edge
 
+from conftest import SUSTAIN
 from test_cli import EX1_PARAMS, FLOOR_PARAMS, SUSTAIN_JSON
 from test_model import assert_coefficients_bit_identical
 from test_pareto import _oracle_filter
@@ -180,6 +183,79 @@ def test_collapse_matches_the_quadratic_rule(records, rnd):
     rnd.shuffle(shuffled)
     assert sorted(rec[2].as_tuple() for rec in _collapse(shuffled)) == sorted(
         rec[2].as_tuple() for rec in want)
+
+
+# -- subproblem 3's level edge -----------------------------------------------------
+
+
+@st.composite
+def sustain_variants(draw):
+    """SUSTAIN perturbed as the benchmark's front instances are (+-10%, a
+    loose or binding repair floor), in three variants: as drawn, Wp = 0
+    (f3 constant, f2 not) and ap = 0 < bp (f2 rising with Qp)."""
+    u = lambda lo, hi: draw(st.floats(lo, hi))
+    pr = dict(SUSTAIN)
+    for k in ("Dp", "Ap", "Ar", "h1", "h2", "ap", "bp", "cp", "Wp", "Wr", "Kp", "Kr"):
+        pr[k] *= u(0.9, 1.1)
+    pr["p"] *= u(0.95, 1.05)
+    pr["r"] *= u(0.95, 1.05)
+    inflow = pr["p"] * pr["r"] * pr["Dp"]
+    pr["Dr"] = inflow * u(1.003, 1.02)
+    pr["lam"] = pr["Dr"] * u(1.03, 1.1)
+    if draw(st.booleans()):  # cap Qr at 50-80% of 204.6 at the emissions floor
+        qp_min = math.sqrt(2.0 * pr["Ap"] * pr["Dp"] / pr["h1"])
+        c1 = 1.0 - inflow / pr["lam"]
+        pr["k2"] = pr["p2"] * inflow * (c1 * 204.6 * u(0.5, 0.8) / pr["Dr"] + qp_min / pr["Dp"])
+    variant = draw(st.sampled_from(("as drawn", "Wp = 0", "ap = 0")))
+    if variant == "Wp = 0":
+        pr["Wp"] = 0.0
+    elif variant == "ap = 0":
+        pr["ap"] = 0.0
+    return ModelParams(**pr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sustain_variants(), st.floats(0.02, 0.96), st.floats(0.02, 0.98),
+       st.floats(0.0, 1.0), st.booleans())
+def test_energy_edge_is_the_least_energy_point_meeting_both_levels(params, a, b, t, met_at_t):
+    """Against a 401-point scan of the repair line: no scanned Qp meets both
+    levels where the edge rule finds none, and none that does has lower f3
+    than the edge.  The edge meets both levels and the float below it misses
+    one of them or leaves the box.  The level is anchored at f3 of the line
+    point at fraction t of the Qp range, or is the least level that point
+    meets (the edge then exists)."""
+    cm = CostModel(params)
+    d = pareto_front(params, 3).diagnostics
+    (qp_lo, qr_lo), (qp_top, _) = decision_box(params, emissions_domain=True)
+    qp_hi = min(qp_top, cm.repair_qp_cap(qr_lo))
+    wt = (a, (1.0 - a) * b, (1.0 - a) * (1.0 - b))
+    s = d.shifts
+    funcs = (cm.average_cost, lambda qp, qr: cm.ghg_value(qp), cm.energy_value)
+
+    def weighted(i, qp):
+        return wt[i] * (funcs[i](qp, cm.best_repair(qp)) + s[i])
+
+    q = min(qp_lo + t * (qp_hi - qp_lo), qp_hi)
+    level = max(weighted(0, q), weighted(1, q)) if met_at_t else weighted(2, q)
+
+    def meets(qp):
+        return weighted(0, qp) <= level and weighted(1, qp) <= level
+
+    edge = _energy_edge(cm, wt, s, level, qp_lo, d.individual_minima)
+    feasible = [x for x in [qp_lo + (qp_hi - qp_lo) * j / 400 for j in range(401)] + [q]
+                if x <= qp_hi and meets(x)]
+    event("no edge" if edge is None else "edge at qp_lo" if edge == qp_lo else "edge above qp_lo")
+    if edge is None:
+        assert not met_at_t
+        assert not feasible
+        return
+    assert qp_lo <= edge <= qp_hi
+    assert meets(edge)
+    below = math.nextafter(edge, 0.0)
+    assert below < qp_lo or not meets(below)
+    f3 = cm.energy_value(edge, cm.best_repair(edge))
+    for x in feasible:
+        assert cm.energy_value(x, cm.best_repair(x)) >= f3 - 1e-12 * abs(f3), x
 
 
 # -- command-line contract ---------------------------------------------------------
